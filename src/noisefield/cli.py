@@ -164,7 +164,7 @@ def _fmt(v) -> str:
 
 def _descriptor(args, **extra) -> dict:
     d = {"subcommand": args.command, "seed": getattr(args, "seed", None)}
-    for key in ("N", "J", "workers"):
+    for key in ("N", "J"):
         if getattr(args, key, None) is not None:
             d[key] = getattr(args, key)
     d.update(extra)
@@ -388,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--workers", type=int, default=1,
-                       help="sample-index partitions; results are worker-count invariant")
+                       help="accepted and validated (>= 1); runs are single-process and "
+                       "the value is not part of the descriptor")
         if seed:
             p.add_argument("--seed", type=int, default=7)
         if N is not None:

@@ -7,16 +7,19 @@ truncations (Legendre 512, Walsh depth 10, sine 10^4), which keep truncation
 bias far below the Monte Carlo resolution.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import noisefield as nf
 from noisefield import BorelSet
+from noisefield.cli import main as cli_main
 
 
 def report(num, name, ok, detail=""):
@@ -322,3 +325,31 @@ def test_criterion_22_replay_determinism(tmp_path):
             mismatched.append(name)
     ok = not mismatched and len(names) == len(ACCEPTANCE_RUNS)
     report(22, "replay determinism", ok, f"{len(names)} artifacts byte-identical, mismatches={mismatched}")
+
+
+GOLDENS = Path(__file__).parent / "data" / "cli_goldens.sha256"
+
+
+def _acceptance_digests(outdir) -> dict:
+    digests = {}
+    for argv in ACCEPTANCE_RUNS:
+        argv = list(argv)
+        name = argv[argv.index("--out") + 1]
+        argv[argv.index("--out") + 1] = str(outdir / name)
+        assert cli_main(argv) == 0, argv
+        digests[name] = hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+    return digests
+
+
+def test_acceptance_artifact_goldens(tmp_path):
+    """Every acceptance artifact keeps its recorded SHA-256.
+
+    A refactor keeps these digests.  A deliberate format or stream-layout
+    change updates tests/data/cli_goldens.sha256 and says why in CHANGES.md.
+    """
+    expected = dict(
+        reversed(line.split()) for line in GOLDENS.read_text().splitlines() if line.strip()
+    )
+    got = _acceptance_digests(tmp_path)
+    assert len(got) == len(ACCEPTANCE_RUNS)
+    assert got == expected

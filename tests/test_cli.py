@@ -146,3 +146,18 @@ def test_fbm_variance_table(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
     for row in rows:
         assert float(row[4]) < 1e-3
+
+
+@pytest.mark.parametrize("argv", [
+    ["covariance", "--measure", "lebesgue:0,1", "--A", "0,0.6", "--B", "0.4,1",
+     "--N", "2000", "--seed", "11", "--J", "64"],
+    ["sample-path", "--measure", "lebesgue:0,1", "--A", "0,0.6", "--N", "300", "--J", "32",
+     "--seed", "3"],
+])
+def test_artifacts_identical_for_every_worker_count(tmp_path, argv):
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}.csv"
+        assert main(argv + ["--workers", str(workers), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
