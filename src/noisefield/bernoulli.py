@@ -18,8 +18,6 @@ import numpy as np
 
 from . import quadrature, streams
 
-_COIN_BLOCK = 1 << 24
-
 
 class BernoulliConvolution:
     def __init__(self, lam: float, stream_id=0, K: int | None = None):
@@ -40,13 +38,11 @@ class BernoulliConvolution:
         """n independent draws; sample index addresses its own coin row."""
         sid = self.stream_id if stream_id is None else stream_id
         weights = self.lam ** np.arange(1, self.K + 1)
-        out = np.empty(n)
-        block = max(1, _COIN_BLOCK // self.K)
-        for start in range(0, n, block):
-            m = min(block, n - start)
-            coins = streams.sign_matrix(sid, m, self.K, first + start)
-            out[start : start + m] = streams.row_dot(coins, weights)
-        return out
+
+        def block(row, m):
+            return streams.row_dot(streams.sign_matrix(sid, m, self.K, row), weights)
+
+        return streams.emit_rows(np.empty(n), first, block)
 
 
 def covariance(lam: float, rho: float) -> float:
@@ -62,14 +58,12 @@ def coupled_samples(lams, n: int, stream_id, K: int | None = None) -> np.ndarray
     if K is None:
         K = max(4, int(math.ceil(math.log(1e-14) / math.log(lams.max()))))
     powers = lams[None, :] ** np.arange(1, K + 1)[:, None]  # (K, m)
-    out = np.empty((n, len(lams)))
-    block = max(1, _COIN_BLOCK // K)
-    for start in range(0, n, block):
-        m = min(block, n - start)
-        coins = streams.sign_matrix(stream_id, m, K, start)
-        for col in range(len(lams)):
-            out[start : start + m, col] = streams.row_dot(coins, powers[:, col])
-    return out
+
+    def block(row, m):
+        coins = streams.sign_matrix(stream_id, m, K, row)
+        return np.column_stack([streams.row_dot(coins, p) for p in powers.T])
+
+    return streams.emit_rows(np.empty((n, len(lams))), 0, block)
 
 
 def fourier_transform(lam: float, t, n_factors: int):

@@ -266,29 +266,18 @@ def chaos_game_sample(ifs: IteratedFunctionSystem, n, stream_id, depth=None) -> 
     ratios = np.array([float(r) for r in ifs.ratios])
     shifts = np.array([float(s) for s in ifs.shifts])
     lo, hi = ifs.hull
-    out = np.empty(n)
-    block = max(1, min(n, 2**22 // max(depth, 1)))
-    for start in range(0, n, block):
-        m = min(block, n - start)
-        u = _uniform_block(stream_id, m, depth, start)
+
+    def block(row, m):
+        u = streams.uniform_matrix(stream_id, m, depth, row)
         digits = np.searchsorted(edges, u, side="left")
         np.clip(digits, 0, len(probs) - 1, out=digits)
         x = np.full(m, 0.5 * (lo + hi))
         for k in range(depth - 1, -1, -1):
             d = digits[:, k]
             x = ratios[d] * x + shifts[d]
-        out[start : start + m] = x
-    return out
+        return x
 
-
-def _uniform_block(stream_id, n_samples, n_coords, first):
-    b = streams.substream(stream_id, np.arange(first, first + n_samples, dtype=np.uint64))
-    idx = np.arange(n_coords, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        base = streams._finalize(b ^ streams._STREAM_SALT)
-        state = base[:, None] + (idx[None, :] + np.uint64(1)) * streams._PHI
-    w = streams._finalize(state)
-    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return streams.emit_rows(np.empty(n), 0, block)
 
 
 def invariant_moments(ifs: IteratedFunctionSystem, max_degree: int):

@@ -32,8 +32,6 @@ INSIDE = "inside"
 ESCAPED = "escaped"
 BUDGET_EXCEEDED = "budget-exceeded"
 
-_MC_BLOCK = 1 << 13
-
 
 class PositiveDefiniteKernel:
     kind = "abstract"
@@ -240,20 +238,12 @@ def boundary_process_cov(kernel: PositiveDefiniteKernel, s, t, J: int, n: int, s
     ft = np.conj(embed_point(kernel, t, J))
     idx = np.flatnonzero(np.abs(fs) + np.abs(ft))
     fs, ft = fs[idx], ft[idx]
-    acc = np.zeros(2)
-    acc2 = np.zeros(2)
-    for start in range(0, n, _MC_BLOCK):
-        m = min(_MC_BLOCK, n - start)
-        xi = streams.normal_matrix_at(stream_id, m, idx.astype(np.uint64), start)
-        vals = np.conj(streams.row_dot(xi, fs)) * streams.row_dot(xi, ft)
-        acc += [vals.real.sum(), vals.imag.sum()]
-        acc2 += [(vals.real**2).sum(), (vals.imag**2).sum()]
-    mean = acc / n
-    var = np.maximum(acc2 / n - mean**2, 0.0)
-    est = complex(mean[0], mean[1])
+    est, se = streams.mc_mean(
+        stream_id, n, idx, lambda xi: np.conj(streams.row_dot(xi, fs)) * streams.row_dot(xi, ft)
+    )
     if not kernel.is_complex:
         est = est.real
-    return est, tuple(np.sqrt(var / n))
+    return est, se
 
 
 def szego_boundary_integral(z, w, nodes: int = 2048) -> complex:
@@ -306,14 +296,11 @@ def fourier_map_isometry(mu, sets, coeffs, n: int, stream_id, J: int = 512, basi
     field = GaussianNoiseField(mu, basis=basis, J=J)
     C = np.stack([field.coefficients(A) for A in sets])  # (n_sets, J)
     idx = np.flatnonzero(np.abs(C).sum(axis=0))
-    s1 = s2 = 0.0
-    for start in range(0, n, _MC_BLOCK):
-        m = min(_MC_BLOCK, n - start)
-        xi = streams.normal_matrix_at(stream_id, m, idx.astype(np.uint64), start)
-        W = np.column_stack([streams.row_dot(xi, row) for row in C[:, idx]])
-        vals = np.abs(streams.row_dot(np.exp(1j * W), a)) ** 2
-        s1 += vals.sum()
-        s2 += (vals * vals).sum()
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
-    return kernel_norm, mean, math.sqrt(var / n)
+    C = C[:, idx]
+
+    def values(xi):
+        W = np.column_stack([streams.row_dot(xi, row) for row in C])
+        return np.abs(streams.row_dot(np.exp(1j * W), a)) ** 2
+
+    mean, se = streams.mc_mean(stream_id, n, idx, values)
+    return kernel_norm, mean.real, se[0]

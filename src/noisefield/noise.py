@@ -32,8 +32,6 @@ from .bases import OrthonormalBasis, default_truncation, make_basis
 from .measures import SigmaFiniteMeasure
 from .sets import BorelSet
 
-_MC_BLOCK = 1 << 14
-
 
 @dataclass(frozen=True)
 class UniversalSamplePoint:
@@ -112,15 +110,7 @@ class GaussianNoiseField:
 
     def _samples_from_coeffs(self, c: np.ndarray, n: int, stream_id, first: int = 0) -> np.ndarray:
         idx = np.flatnonzero(c)
-        if len(idx) == 0:
-            return np.zeros(n)
-        out = np.empty(n)
-        cz = c[idx]
-        for start in range(0, n, _MC_BLOCK):
-            m = min(_MC_BLOCK, n - start)
-            xi = streams.normal_matrix_at(stream_id, m, idx.astype(np.uint64), first + start)
-            out[start : start + m] = streams.row_dot(xi, cz)
-        return out
+        return streams.linear_samples(stream_id, n, idx, c[idx], first)
 
     def noise_samples(self, A: BorelSet, n: int, stream_id, first: int = 0) -> np.ndarray:
         if self._checked_mass(A) == 0.0:
@@ -137,16 +127,11 @@ class GaussianNoiseField:
         ca, cb = self.coefficients(A), self.coefficients(B)
         self._checked_mass(A), self._checked_mass(B)
         idx = np.flatnonzero(np.abs(ca) + np.abs(cb))
-        s1 = s2 = 0.0
-        for start in range(0, n, _MC_BLOCK):
-            m = min(_MC_BLOCK, n - start)
-            xi = streams.normal_matrix_at(stream_id, m, idx.astype(np.uint64), start)
-            prod = streams.row_dot(xi, ca[idx]) * streams.row_dot(xi, cb[idx])
-            s1 += prod.sum()
-            s2 += (prod * prod).sum()
-        mean = s1 / n
-        var = max(s2 / n - mean * mean, 0.0)
-        return mean, math.sqrt(var / n)
+        ca, cb = ca[idx], cb[idx]
+        mean, se = streams.mc_mean(
+            stream_id, n, idx, lambda xi: streams.row_dot(xi, ca) * streams.row_dot(xi, cb)
+        )
+        return mean.real, se[0]
 
     # -- coordinate factorization -------------------------------------------------
 
@@ -172,21 +157,9 @@ class GaussianNoiseField:
 def characteristic_functional_mc(c, n: int, stream_id):
     """Monte Carlo E[exp(i <xi, c>)]; returns (estimate, (se_real, se_imag))."""
     c = np.asarray(c, dtype=float)
-    acc = np.zeros(2)
-    acc2 = np.zeros(2)
     idx = np.flatnonzero(c)
-    for start in range(0, n, _MC_BLOCK):
-        m = min(_MC_BLOCK, n - start)
-        if len(idx) == 0:
-            vals = np.ones(m, dtype=complex)
-        else:
-            xi = streams.normal_matrix_at(stream_id, m, idx.astype(np.uint64), start)
-            vals = np.exp(1j * streams.row_dot(xi, c[idx]))
-        acc += [vals.real.sum(), vals.imag.sum()]
-        acc2 += [(vals.real**2).sum(), (vals.imag**2).sum()]
-    mean = acc / n
-    var = np.maximum(acc2 / n - mean * mean, 0.0)
-    return complex(mean[0], mean[1]), tuple(np.sqrt(var / n))
+    cz = c[idx]
+    return streams.mc_mean(stream_id, n, idx, lambda xi: np.exp(1j * streams.row_dot(xi, cz)))
 
 
 def characteristic_functional_target(c) -> float:
@@ -199,18 +172,12 @@ def moment_identity_mc(j: int, k: int, c, n: int, stream_id):
     c = np.asarray(c, dtype=float)
     idx = np.unique(np.concatenate([np.flatnonzero(c), [j, k]])).astype(np.uint64)
     pos = {int(v): i for i, v in enumerate(idx)}
-    acc = np.zeros(2)
-    acc2 = np.zeros(2)
-    for start in range(0, n, _MC_BLOCK):
-        m = min(_MC_BLOCK, n - start)
-        xi = streams.normal_matrix_at(stream_id, m, idx, start)
-        phase = np.exp(1j * streams.row_dot(xi, c[idx.astype(np.intp)]))
-        vals = xi[:, pos[j]] * xi[:, pos[k]] * phase
-        acc += [vals.real.sum(), vals.imag.sum()]
-        acc2 += [(vals.real**2).sum(), (vals.imag**2).sum()]
-    mean = acc / n
-    var = np.maximum(acc2 / n - mean * mean, 0.0)
-    return complex(mean[0], mean[1]), tuple(np.sqrt(var / n))
+    cz = c[idx.astype(np.intp)]
+
+    def values(xi):
+        return xi[:, pos[j]] * xi[:, pos[k]] * np.exp(1j * streams.row_dot(xi, cz))
+
+    return streams.mc_mean(stream_id, n, idx, values)
 
 
 def moment_identity_target(j: int, k: int, c) -> float:

@@ -264,10 +264,7 @@ class SigmaLift:
     def lift_samples(self, F: SigmaFunction, n: int, stream_id, first: int = 0) -> np.ndarray:
         c = self.coefficients(F)
         idx = np.flatnonzero(np.abs(c) > 1e-15 * max(np.abs(c).max(), 1e-300))
-        if len(idx) == 0:
-            return np.zeros(n)
-        xi = streams.normal_matrix_at(stream_id, n, idx.astype(np.uint64), first)
-        return streams.row_dot(xi, c[idx])
+        return streams.linear_samples(stream_id, n, idx, c[idx], first)
 
 
 def lift(F: SigmaFunction, xi, J_density: int = 64) -> float:
@@ -306,10 +303,15 @@ class CorrelatedPair:
 
     def sample_pair(self, A: BorelSet, n: int, first: int = 0):
         c = self.basis.indicator_coefficients(A, self.J)
-        xi = streams.normal_matrix(self._xi_id, n, self.J, first)
-        eta = streams.normal_matrix(self._eta_id, n, self.J, first)
-        mixed = self.rho[None, :] * xi + np.sqrt(1.0 - self.rho**2)[None, :] * eta
-        return streams.row_dot(xi, c), streams.row_dot(mixed, c)
+
+        def block(row, m):
+            xi = streams.normal_matrix(self._xi_id, m, self.J, row)
+            eta = streams.normal_matrix(self._eta_id, m, self.J, row)
+            mixed = self.rho[None, :] * xi + np.sqrt(1.0 - self.rho**2)[None, :] * eta
+            return np.column_stack([streams.row_dot(xi, c), streams.row_dot(mixed, c)])
+
+        pair = streams.emit_rows(np.empty((n, 2)), first, block)
+        return tuple(pair.T.copy())
 
     def cross_covariance_target(self, A: BorelSet) -> float:
         total = 0.0
