@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -281,3 +283,26 @@ def test_piecewise_correlation_and_marginals():
 def test_correlation_bound_enforced():
     with pytest.raises(ValueError, match="<= 1"):
         correlated_pair(LEB, [1.2], [0.0, 1.0], 25)
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_pair_memory_is_bounded_by_the_row_grid():
+    pair = correlated_pair(LEB, [0.5, -0.3, 0.8, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0], 3, per_piece=8)
+    assert pair.J == 32
+    A = BorelSet.interval(0.25, 0.75)
+    assert _traced_peak_mb(lambda: pair.sample_pair(A, 200_000)) < 32.0
+
+
+def test_lift_samples_memory_is_bounded_by_the_row_grid():
+    space = SigmaLift([LEB])
+    F = SigmaFunction(ident, LEB)
+    assert space.total_J == 64
+    assert _traced_peak_mb(lambda: space.lift_samples(F, 200_000, 5)) < 32.0

@@ -1,7 +1,22 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisefield import streams
+from noisefield import (
+    BorelSet,
+    LebesgueMeasure,
+    bernoulli,
+    cantor_measure,
+    ifs,
+    kernels,
+    noise,
+    streams,
+)
+from noisefield.sigma import SigmaFunction, SigmaLift, correlated_pair
 
 
 def test_replay_is_bit_identical():
@@ -60,3 +75,77 @@ def test_digit_matrix_range_and_balance(k):
     assert d.min() >= 0 and d.max() < k
     freq = np.bincount(d.ravel(), minlength=k) / d.size
     assert np.abs(freq - 1.0 / k).max() < 4 * np.sqrt(1.0 / (k * d.size))
+
+
+# -- the sample-row grid -----------------------------------------------------------
+
+LEB = LebesgueMeasure(0, 1)
+FIELD = noise.GaussianNoiseField(LEB, J=64)
+LIFT = SigmaLift([LEB], J_density=32)
+LIFT_F = SigmaFunction(lambda x: np.cos(3.0 * np.asarray(x)), LEB)
+PAIR = correlated_pair(LEB, [0.5, -0.3], [0.0, 0.5, 1.0], 12)
+COINS = bernoulli.BernoulliConvolution(0.5, stream_id=4)
+A = BorelSet.interval(0, 0.6)
+
+# Samplers that take a first-sample offset: (first, n) -> samples.
+OFFSET_EMITTERS = {
+    "noise_samples": lambda first, n: FIELD.noise_samples(A, n, 3, first),
+    "lift_samples": lambda first, n: LIFT.lift_samples(LIFT_F, n, 8, first),
+    "sample_pair": lambda first, n: np.stack(PAIR.sample_pair(A, n, first), axis=1),
+    "bernoulli": lambda first, n: COINS.sample(n, first),
+}
+EMITTERS = {
+    **{name: functools.partial(emit, 5) for name, emit in OFFSET_EMITTERS.items()},
+    "ito_samples": lambda n: FIELD.ito_samples(lambda x: x, n, 5),
+    "coupled_samples": lambda n: bernoulli.coupled_samples([0.5, 0.75], n, 9),
+    "chaos_game_sample": lambda n: ifs.chaos_game_sample(cantor_measure().ifs, n, 6),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(cuts=st.lists(st.integers(0, 9000), max_size=4))
+@pytest.mark.parametrize("name", sorted(OFFSET_EMITTERS))
+def test_split_runs_concatenate_to_the_whole(name, cuts):
+    emit = OFFSET_EMITTERS[name]
+    whole = emit(0, 9000)
+    edges = [0, *sorted(cuts), 9000]
+    parts = [emit(a, b - a) for a, b in zip(edges[:-1], edges[1:])]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("rows", [7, 1000])
+@pytest.mark.parametrize("name", sorted(EMITTERS))
+def test_emitters_do_not_depend_on_block_rows(monkeypatch, name, rows):
+    expected = EMITTERS[name](2500)
+    monkeypatch.setattr(streams, "_BLOCK_ROWS", rows)
+    assert np.array_equal(EMITTERS[name](2500), expected)
+
+
+def test_covariance_reduction_sums_8192_row_blocks_in_order():
+    # Pins the reduction order: plain per-block sums on the 8192-row grid.  On
+    # stream 1 at this N, a 16384-row grid gives different bits for both values.
+    B = BorelSet.interval(0.4, 1.0)
+    n = 3 * 8192 + 5
+    ca, cb = FIELD.coefficients(A), FIELD.coefficients(B)
+    idx = np.flatnonzero(np.abs(ca) + np.abs(cb))
+    s1 = s2 = 0.0
+    for start in range(0, n, 8192):
+        xi = streams.normal_matrix_at(1, min(8192, n - start), idx, start)
+        prod = streams.row_dot(xi, ca[idx]) * streams.row_dot(xi, cb[idx])
+        s1 += prod.sum()
+        s2 += (prod * prod).sum()
+    mean = s1 / n
+    se = math.sqrt(max(s2 / n - mean * mean, 0.0) / n)
+    assert FIELD.covariance_mc(A, B, n, 1) == (mean, se)
+
+
+def test_reduction_rejects_empty_runs():
+    c = np.array([0.3, 0.0, -0.2])
+    with pytest.raises(ValueError, match="at least one sample"):
+        streams.mc_mean(1, 0, [0], lambda xi: xi[:, 0])
+    with pytest.raises(ValueError, match="at least one sample"):
+        noise.characteristic_functional_mc(c, 0, 2)
+    with pytest.raises(ValueError, match="at least one sample"):
+        noise.moment_identity_mc(0, 2, c, 0, 2)
+    with pytest.raises(ValueError, match="at least one sample"):
+        kernels.fourier_map_isometry(LEB, [A], [1.0], 0, 17, J=8)
