@@ -11,7 +11,8 @@ Kinds and their exactness:
   two-branch equal-weight IFS attractor.  Indexing: the subset S of digit
   positions is the bit pattern of the index j, ordered by (max element,
   binary code), which coincides with ordering by j.  Cylinder coefficients
-  are exact.
+  are exact.  The digit coding, the cell images and the CDF behind interval
+  coefficients come from ``ifs.IteratedFunctionSystem``.
 * ``sine-brownian`` -- phi_0(t) = t, phi_k(t) = sqrt(2) sin(k pi t)/(k pi) on
   [0, 1]; orthonormal in the first-derivative inner product.  Set
   coefficients are the increments phi_j(b) - phi_j(a), which realize
@@ -23,6 +24,12 @@ sub-bases on an interval partition, which diagonalize multiplication by
 piecewise-constant functions), transformed (an ONB of L2(mu) carried to
 L2(lambda) by multiplying with sqrt(d mu/d lambda)), and finite orthogonal
 mixes of the leading functions.
+
+Grams: every kind but the sine family pairs its functions in one place,
+``OrthonormalBasis.gram``, over the points and weights of its
+``_pairing_rule`` (Gauss rules times the density, atoms and their masses,
+one point per Walsh cell, or the sub-bases' rules concatenated).  The sine
+family pairs derivatives and keeps its own panel-quadrature gram.
 """
 
 from __future__ import annotations
@@ -75,6 +82,14 @@ class OrthonormalBasis:
         raise NotImplementedError
 
     def gram(self, n) -> np.ndarray:
+        """<phi_j, phi_k> for j, k < n, summed over the basis's pairing rule."""
+        self._check_J(n)
+        x, w = self._pairing_rule(n)
+        B = self.evaluate_block(x, n)
+        return (B * w[:, None]).T @ B
+
+    def _pairing_rule(self, n):
+        """(points, weights) on which the first n functions pair exactly or by quadrature."""
         raise NotImplementedError
 
     def to_descriptor(self) -> dict:
@@ -219,37 +234,35 @@ class LegendreBasis(OrthonormalBasis):
             raise ValueError("integrand is unbounded on the support")
         return (self.evaluate_block(xq, J).T * dens * fv) @ wq
 
-    def gram(self, n):
+    def _pairing_rule(self, n):
         xq, wq = quadrature.nodes_weights(self.a, self.b, 2 * self._quad_nodes)
         dens = (
             np.full_like(xq, self._const_weight)
             if self._const_weight is not None
             else np.asarray(self.measure.density_fn()(xq), dtype=float)
         )
-        B = self.evaluate_block(xq, n)
-        return (B * (wq * dens)[:, None]).T @ B
+        return xq, wq * dens
 
     def to_descriptor(self):
         return {"kind": self.kind, "measure": self.measure.to_descriptor()}
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
-    """In-place-style fast Walsh-Hadamard transform, pairing (-1)^popcount(j&c)."""
-    v = np.asarray(v, dtype=float).copy()
-    h, n = 1, len(v)
-    while h < n:
-        for i in range(0, n, 2 * h):
-            a = v[i : i + h].copy()
-            b = v[i + h : i + 2 * h]
-            v[i : i + h] = a + b
-            v[i + h : i + 2 * h] = a - b
+    """Fast Walsh-Hadamard transform, pairing (-1)^popcount(j&c)."""
+    v = np.asarray(v, dtype=float)
+    h = 1
+    while h < len(v):
+        a, b = v.reshape(-1, 2, h).transpose(1, 0, 2)
+        v = np.stack([a + b, a - b], axis=1).ravel()
         h *= 2
     return v
 
 
 class WalshBasis(OrthonormalBasis):
-    # cylinder-word sets get exact coefficients; plain intervals go through
-    # the measure CDF, whose branch descent drifts ~1e-9 near deep boundaries
+    # The digit coding, cylinder images and the CDF all come from the IFS
+    # layer.  Cylinder-word sets get exact coefficients; plain intervals go
+    # through the vectorized CDF, whose branch descent drifts ~1e-9 near deep
+    # boundaries.
     kind = "walsh-cantor"
 
     def __init__(self, measure: IFSInvariantMeasure, depth: int = 10):
@@ -269,50 +282,18 @@ class WalshBasis(OrthonormalBasis):
     def size(self):
         return 2**self.depth
 
-    def _digit_block(self, xs, levels):
-        """(len(xs), levels) matrix of digits; rejects gap points."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float)).copy()
-        out = np.empty((len(xs), levels), dtype=np.intp)
-        lo0, hi0 = self.ifs.image(0)
-        lo1, hi1 = self.ifs.image(1)
-        r = [float(v) for v in self.ifs.ratios]
-        s = [float(v) for v in self.ifs.shifts]
-        for lev in range(levels):
-            in0 = (xs >= lo0 - 1e-9) & (xs <= hi0 + 1e-9)
-            in1 = ~in0 & (xs >= lo1 - 1e-9) & (xs <= hi1 + 1e-9)
-            bad = ~(in0 | in1)
-            if np.any(bad):
-                raise ValueError(
-                    f"point {xs[bad][0]} is off the attractor and carries no digit coding"
-                )
-            d = in1.astype(np.intp)
-            out[:, lev] = d
-            xs = np.where(in1, (xs - s[1]) / r[1], (xs - s[0]) / r[0])
-        return out
-
     def evaluate(self, j, x):
-        self._check_J(j + 1)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if j == 0:
-            return np.ones_like(x)
-        levels = j.bit_length()
-        digits = self._digit_block(x, levels)
-        signs = np.ones(len(x))
-        for k in range(levels):
-            if (j >> k) & 1:
-                signs *= 1.0 - 2.0 * digits[:, k]
-        return signs
+        return self.evaluate_block(x, j + 1)[:, j]
 
     def evaluate_block(self, xs, J):
         self._check_J(J)
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        levels = max((J - 1).bit_length(), 1)
-        digits = self._digit_block(xs, levels)
-        rad = 1.0 - 2.0 * digits  # column k = r_{k+1}(x)
-        out = np.ones((len(xs), J))
-        for j in range(1, J):
-            cols = [k for k in range(levels) if (j >> k) & 1]
-            out[:, j] = np.prod(rad[:, cols], axis=1)
+        levels = (J - 1).bit_length()
+        rad = 1.0 - 2.0 * self.ifs.digits(xs, levels)  # column k = r_{k+1}(x)
+        out = np.ones((len(rad), J))
+        for k in range(levels):
+            h = 1 << k
+            w = min(h, J - h)
+            out[:, h : h + w] = out[:, :w] * rad[:, k : k + 1]
         return out
 
     def indicator_coefficients(self, A, J):
@@ -340,30 +321,20 @@ class WalshBasis(OrthonormalBasis):
                 out += a_i * self.indicator_coefficients(s_i, J)
             return out
         deep = self.depth + refine
-        k = 2
-        codes = np.arange(k**deep)
         lo, hi = self.ifs.hull
-        ratios = np.array([float(v) for v in self.ifs.ratios])
-        shifts = np.array([float(v) for v in self.ifs.shifts])
-        anchors = np.full(k**deep, 0.5 * (lo + hi))
-        for jlev in range(deep - 1, -1, -1):
-            d = (codes >> jlev) & 1
-            anchors = ratios[d] * anchors + shifts[d]
-        vals = np.asarray(f(anchors), dtype=float)
+        vals = np.asarray(f(self.ifs.cell_images(deep, 0.5 * (lo + hi))), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("integrand is unbounded on the support")
         deep_masses = vals * (0.5**deep)
         cell_integrals = deep_masses.reshape(2**refine, 2**self.depth).sum(axis=0)
         return _fwht(cell_integrals)[:J]
 
-    def gram(self, n):
-        self._check_J(n)
+    def _pairing_rule(self, n):
+        # one point per depth-`levels` cell, each of mass 2^-levels; the cell
+        # midpoint codes unambiguously even where branch images touch
         levels = max((n - 1).bit_length(), 1)
-        codes = np.arange(2**levels)
-        signs = np.empty((n, 2**levels))
-        for j in range(n):
-            signs[j] = np.array([(-1) ** int(bin(j & c).count("1")) for c in codes])
-        return (signs * 2.0**-levels) @ signs.T
+        lo, hi = self.ifs.hull
+        return self.ifs.cell_images(levels, 0.5 * (lo + hi)), np.full(2**levels, 2.0**-levels)
 
     def to_descriptor(self):
         return {"kind": self.kind, "depth": self.depth, "ifs": self.ifs.to_descriptor()}
@@ -468,12 +439,8 @@ class AtomicBasis(OrthonormalBasis):
             [float(np.asarray(f(np.array([x]))).ravel()[0]) * math.sqrt(m) for x, m in self._atoms[:J]]
         )
 
-    def gram(self, n):
-        self._check_J(n)
-        pts = np.array([x for x, _ in self._atoms])
-        B = self.evaluate_block(pts, n)
-        masses = np.array([m for _, m in self._atoms])
-        return (B * masses[:, None]).T @ B
+    def _pairing_rule(self, n):
+        return np.array([x for x, _ in self._atoms]), np.array([m for _, m in self._atoms])
 
     def to_descriptor(self):
         return {"kind": self.kind, "measure": self.measure.to_descriptor()}
@@ -527,14 +494,9 @@ class CompositeBasis(OrthonormalBasis):
             parts.append(self.atomic_basis.inner_coefficients(f, J - self.split))
         return np.concatenate(parts)
 
-    def gram(self, n):
-        self._check_J(n)
-        jd = min(n, self.split)
-        G = np.zeros((n, n))
-        G[:jd, :jd] = self.density_basis.gram(jd)
-        if n > self.split:
-            G[jd:, jd:] = self.atomic_basis.gram(n - self.split)
-        return G
+    def _pairing_rule(self, n):
+        rules = [b._pairing_rule(n) for b in (self.density_basis, self.atomic_basis)]
+        return tuple(np.concatenate(parts) for parts in zip(*rules))
 
     def to_descriptor(self):
         return {"kind": self.kind, "measure": self.measure.to_descriptor(), "split": self.split}
@@ -598,14 +560,9 @@ class PiecewiseBasis(OrthonormalBasis):
             out[j] = self.pieces[piece].inner_coefficients(f, sub + 1)[sub]
         return out
 
-    def gram(self, n):
-        self._check_J(n)
-        G = np.zeros((n, n))
-        for start in range(0, n, self.per_piece):
-            piece = start // self.per_piece
-            width = min(self.per_piece, n - start)
-            G[start : start + width, start : start + width] = self.pieces[piece].gram(width)
-        return G
+    def _pairing_rule(self, n):
+        rules = [piece._pairing_rule(self.per_piece) for piece in self.pieces]
+        return tuple(np.concatenate(parts) for parts in zip(*rules))
 
     def multiplier_eigenvalues(self, piece_values) -> np.ndarray:
         """Eigenvalues of multiplication by the piecewise-constant function."""
@@ -656,12 +613,10 @@ class TransformedBasis(OrthonormalBasis):
         fv = np.asarray(f(xq), dtype=float)
         return (self.evaluate_block(xq, J).T * dens * fv) @ wq
 
-    def gram(self, n):
+    def _pairing_rule(self, n):
         lo, hi = self.measure.support_hull()
         xq, wq = quadrature.nodes_weights(lo, hi, 512)
-        dens = np.asarray(self.measure.density_fn()(xq), dtype=float)
-        B = self.evaluate_block(xq, n)
-        return (B * (wq * dens)[:, None]).T @ B
+        return xq, wq * np.asarray(self.measure.density_fn()(xq), dtype=float)
 
 
 class MixedBasis(OrthonormalBasis):
@@ -714,13 +669,8 @@ class MixedBasis(OrthonormalBasis):
         base = self.base.inner_coefficients(f, max(J, len(self.U)))
         return self._mix(base)[:J]
 
-    def gram(self, n):
-        m = max(n, len(self.U))
-        G = self.base.gram(m)
-        T = np.eye(m)
-        k = len(self.U)
-        T[:k, :k] = self.U
-        return (T @ G @ T.T)[:n, :n]
+    def _pairing_rule(self, n):
+        return self.base._pairing_rule(max(n, len(self.U)))
 
 
 def make_basis(measure: SigmaFiniteMeasure, J: int | None = None) -> OrthonormalBasis:

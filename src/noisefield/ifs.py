@@ -7,6 +7,10 @@ attractor hull, cylinder intervals, the invariant-measure CDF, exact
 polynomial moments, a deterministic chaos-game sampler, and the isometries
 ``S_i`` acting on depth-``d`` coefficient spaces all live here.
 
+This module is the one owner of the cylinder code: word (b_1, ..., b_d) has
+code sum_k b_k n^(k-1), and ``cell_images``, ``cylinder_masses`` and
+``digits`` all use that layout; ``cdf`` works elementwise over arrays.
+
 Branch weights are allowed to not sum to one so that the closedness
 diagnostics can quantify exactly how broken a system is; everything that
 needs a probability measure (CDF, sampling, moments) insists on a unit sum.
@@ -77,6 +81,13 @@ class IteratedFunctionSystem:
         r, s = float(self.ratios[i]), float(self.shifts[i])
         return r * lo + s, r * hi + s
 
+    def _affine_arrays(self):
+        """(ratios, shifts) as float arrays indexed by branch."""
+        return (
+            np.array([float(r) for r in self.ratios]),
+            np.array([float(s) for s in self.shifts]),
+        )
+
     def apply(self, i, x):
         return float(self.ratios[i]) * np.asarray(x, dtype=float) + float(self.shifts[i])
 
@@ -139,56 +150,89 @@ class IteratedFunctionSystem:
             mass = mass * probs[d]
         return mass
 
-    def cdf(self, x) -> float:
-        """Invariant-measure CDF by exact branch descent."""
+    def cdf(self, x):
+        """Invariant-measure CDF by exact branch descent, elementwise over arrays.
+
+        A scalar in gives a float out.  Each point descends through the branch
+        images in left-to-right order; the descent stops in a gap, after 220
+        steps, or once the remaining cylinder mass drops below 1e-18.
+        """
         if not self.is_closed(tol=1e-9):
             raise ValueError("CDF requires branch weights summing to 1")
         probs = [float(p) for p in self.probabilities()]
         order = sorted(range(self.n_branches), key=lambda i: self.image(i)[0])
+        branches = [
+            (self.image(i), float(self.shifts[i]), float(self.ratios[i]), probs[i]) for i in order
+        ]
         lo, hi = self.hull
-        x = float(x)
-        if x < lo:
-            return 0.0
-        if x >= hi:
-            return 1.0
-        acc, scale = 0.0, 1.0
+        xs = np.asarray(x, dtype=float)
+        y = xs.ravel()
+        out = np.where(y >= hi, 1.0, 0.0)
+        pos = np.flatnonzero(~(y < lo) & ~(y >= hi))
+        y = y[pos]
+        acc, scale = np.zeros(len(pos)), np.ones(len(pos))
         for _ in range(220):
-            if scale < 1e-18:
+            if len(pos) == 0:
                 break
-            descended = False
-            for i in order:
-                ilo, ihi = self.image(i)
-                if x < ilo:
-                    break  # landed in a gap: mass to the left is settled
-                if x <= ihi:
-                    x = (x - float(self.shifts[i])) / float(self.ratios[i])
-                    scale *= probs[i]
-                    descended = True
-                    break
-                acc += scale * probs[i]
-            if not descended:
-                break
-        return acc
+            undecided = ~(scale < 1e-18)
+            descended = np.zeros(len(pos), dtype=bool)
+            for (ilo, ihi), s, r, p in branches:
+                undecided &= ~(y < ilo)  # landed in a gap: mass to the left is settled
+                into = undecided & (y <= ihi)
+                y = np.where(into, (y - s) / r, y)
+                scale = np.where(into, scale * p, scale)
+                descended |= into
+                undecided &= ~into
+                acc = np.where(undecided, acc + scale * p, acc)
+            out[pos[~descended]] = acc[~descended]
+            pos, y, acc, scale = pos[descended], y[descended], acc[descended], scale[descended]
+        out[pos] = acc
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
-    def digits(self, x, depth):
-        """Cylinder coding of a point of the attractor; gap points are rejected."""
-        order = sorted(range(self.n_branches), key=lambda i: self.image(i)[0])
-        out = []
-        y = float(x)
+    def cell_images(self, depth, x0) -> np.ndarray:
+        """tau_word(x0) for every depth-``depth`` word, in digit-code order.
+
+        Word (b_1, ..., b_d) has code sum_k b_k n^(k-1), so code c lands in
+        the cylinder of its word; the innermost branch b_d is applied first.
+        """
+        n = self.n_branches
+        codes = np.arange(n**depth)
+        ratios, shifts = self._affine_arrays()
+        pts = np.full(n**depth, float(x0))
+        for k in range(depth - 1, -1, -1):
+            d = (codes // n**k) % n
+            pts = ratios[d] * pts + shifts[d]
+        return pts
+
+    def cylinder_masses(self, depth) -> np.ndarray:
+        """Product of branch probabilities of every depth-``depth`` word, in digit-code order."""
+        probs = np.array([float(p) for p in self.probabilities()])
+        masses = np.ones(1)
         for _ in range(depth):
-            hit = None
-            for i in order:
-                lo, hi = self.image(i)
-                if lo - 1e-9 <= y <= hi + 1e-9:
-                    hit = i
-                    break
-            if hit is None:
+            masses = (probs[:, None] * masses[None, :]).ravel()
+        return masses
+
+    def digits(self, xs, depth) -> np.ndarray:
+        """(len(xs), depth) cylinder coding of attractor points; gap points are rejected.
+
+        Branches are tried in index order, each image widened by 1e-9, so a
+        point shared by two touching images takes the lower branch index.
+        """
+        y = np.atleast_1d(np.asarray(xs, dtype=float))
+        out = np.empty((len(y), depth), dtype=np.intp)
+        images = [self.image(i) for i in range(self.n_branches)]
+        ratios, shifts = self._affine_arrays()
+        for k in range(depth):
+            d = np.full(len(y), -1, dtype=np.intp)
+            for i, (lo, hi) in reversed(list(enumerate(images))):
+                d[(y >= lo - 1e-9) & (y <= hi + 1e-9)] = i
+            if np.any(d < 0):
                 raise ValueError(
-                    f"point {x} is not on the attractor and carries no digit coding"
+                    f"point {y[d < 0][0]} is off the attractor and carries no digit coding"
                 )
-            out.append(hit)
-            y = (y - float(self.shifts[hit])) / float(self.ratios[hit])
-        return tuple(out)
+            out[:, k] = d
+            y = (y - shifts[d]) / ratios[d]
+        return out
 
     def scaling_dimension(self) -> float:
         rs = {float(r) for r in self.ratios}
@@ -263,8 +307,7 @@ def chaos_game_sample(ifs: IteratedFunctionSystem, n, stream_id, depth=None) -> 
         depth = int(np.ceil(np.log(1e-15) / np.log(rmax)))
     probs = np.array([float(p) for p in ifs.probabilities()])
     edges = np.cumsum(probs)
-    ratios = np.array([float(r) for r in ifs.ratios])
-    shifts = np.array([float(s) for s in ifs.shifts])
+    ratios, shifts = ifs._affine_arrays()
     lo, hi = ifs.hull
 
     def block(row, m):
@@ -361,13 +404,6 @@ def closedness_residual(ifs: IteratedFunctionSystem, depth: int = 6) -> float:
 # coordinates the isometries S_i f = g_i^(-1/2) chi_{tau_i(M)} (f o R) become
 # sparse 0/1-pattern matrices, and for two equal branches the orthonormal
 # coordinates coincide with Walsh coefficients via the Hadamard transform.
-
-
-def _word_code(word, n):
-    c = 0
-    for k, d in enumerate(word):
-        c += d * n**k
-    return c
 
 
 def cuntz_matrix(ifs: IteratedFunctionSystem, i: int, depth: int) -> np.ndarray:

@@ -11,6 +11,11 @@ what the Radon-Nikodym and sigma-function machinery works with.
 Exactness: interval masses are closed-form for Lebesgue, polynomial
 densities, atomic measures, and IFS invariant measures (branch-descent CDF);
 everything else is quadrature with a node-doubling error estimate.
+
+The cylinder code of IFS measures (cell images in digit-code order, cylinder
+masses and the branch-descent CDF, vectorized over arrays) lives in
+``ifs.IteratedFunctionSystem``; here cells are only clipped to sets and the
+CDF is differenced at their ends.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from .ifs import IteratedFunctionSystem, bernoulli_system, invariant_moments
 from .sets import BorelSet
 
 _ATOM_TOL = 1e-12
+# rows of x per sine block in the Fourier-inversion CDF: bounds its memory
+# to a few (rows x quadrature nodes) blocks whatever the number of points
+_INVERSION_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -110,17 +118,6 @@ class SigmaFiniteMeasure:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             return A
         return A.clip(lo, hi)
-
-
-def _panel_rule(a, b, n_panels, nodes_per_panel):
-    """Flattened nodes/weights of a composite Gauss-Legendre rule on [a, b]."""
-    edges = np.linspace(a, b, n_panels + 1)
-    x, w = quadrature._rule(nodes_per_panel)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (
-        half[:, None] * w[None, :]
-    ).ravel()
 
 
 def _reject_unbounded(values, what="integrand"):
@@ -311,31 +308,24 @@ class IFSInvariantMeasure(SigmaFiniteMeasure):
     def measure_of(self, A: BorelSet) -> float:
         if A.word is not None:
             return float(self.ifs.cylinder_mass(A.word))
-        A = self._clipped(A)
-        return float(sum(self.ifs.cdf(hi) - self.ifs.cdf(lo) for lo, hi in A.intervals))
+        ends = self.ifs.cdf(np.ravel(self._clipped(A).intervals))
+        return float(sum(ends[1::2] - ends[0::2]))
 
     def canonical_grid(self, n: int = 2048) -> np.ndarray:
-        # grid points must lie on the attractor: use cylinder anchor points
-        k = self.ifs.n_branches
-        depth = max(1, int(math.ceil(math.log(n) / math.log(k))))
-        codes = np.arange(k**depth)
-        ratios = np.array([float(r) for r in self.ifs.ratios])
-        shifts = np.array([float(s) for s in self.ifs.shifts])
-        lo, hi = self.ifs.hull
-        pts = np.full(k**depth, lo)
-        for j in range(depth - 1, -1, -1):
-            d = (codes // k**j) % k
-            pts = ratios[d] * pts + shifts[d]
-        return np.sort(pts)
+        # grid points must lie on the attractor: use cylinder left ends
+        depth = max(1, int(math.ceil(math.log(n) / math.log(self.ifs.n_branches))))
+        return np.sort(self.ifs.cell_images(depth, self.ifs.hull[0]))
 
     def cell_masses(self, A: BorelSet, depth: int) -> np.ndarray:
         """mu(A intersect cell) for all depth-``depth`` cells in digit-code order."""
-        k = self.ifs.n_branches
-        out = np.empty(k**depth)
-        for code in range(k**depth):
-            word = _code_to_word(code, k, depth)
-            lo, hi = self.ifs.cylinder_interval(word)
-            out[code] = self.measure_of(A.clip(lo, hi))
+        h0, h1 = self.ifs.hull
+        cell_lo = np.maximum(self.ifs.cell_images(depth, h0), h0)
+        cell_hi = np.minimum(self.ifs.cell_images(depth, h1), h1)
+        out = np.zeros(len(cell_lo))
+        for a, b in A.intervals:
+            lo, hi = np.maximum(cell_lo, a), np.minimum(cell_hi, b)
+            ends = self.ifs.cdf(np.concatenate([lo, hi]))
+            out = np.where(lo < hi, out + (ends[len(lo) :] - ends[: len(lo)]), out)
         return out
 
     def integrate(self, f, A=None, nodes=64, depth=None):
@@ -349,25 +339,10 @@ class IFSInvariantMeasure(SigmaFiniteMeasure):
         return fine, abs(fine - coarse)
 
     def _cell_sum(self, f, A, depth):
-        # cell code sum_k b_k * n^(k-1); innermost branch applied first so the
-        # anchor of code c lands inside the cylinder of word (b_1..b_d)
-        k = self.ifs.n_branches
-        codes = np.arange(k**depth)
         lo, hi = self.ifs.hull
-        ratios = np.array([float(r) for r in self.ifs.ratios])
-        shifts = np.array([float(s) for s in self.ifs.shifts])
-        anchors = np.full(k**depth, 0.5 * (lo + hi))
-        for j in range(depth - 1, -1, -1):
-            d = (codes // k**j) % k
-            anchors = ratios[d] * anchors + shifts[d]
-        vals = _reject_unbounded(f(anchors))
+        vals = _reject_unbounded(f(self.ifs.cell_images(depth, 0.5 * (lo + hi))))
         if A is None:
-            probs = np.array([float(p) for p in self.ifs.probabilities()])
-            masses = np.ones(k**depth)
-            digits = codes.copy()
-            for _ in range(depth):
-                masses *= probs[digits % k]
-                digits //= k
+            masses = self.ifs.cylinder_masses(depth)
         else:
             masses = self.cell_masses(self._clipped(A), depth)
         return float(vals @ masses)
@@ -400,14 +375,6 @@ class IFSInvariantMeasure(SigmaFiniteMeasure):
 
     def to_descriptor(self):
         return {"kind": self.kind, "ifs": self.ifs.to_descriptor()}
-
-
-def _code_to_word(code, k, depth):
-    word = []
-    for _ in range(depth):
-        word.append(code % k)
-        code //= k
-    return tuple(word)
 
 
 def _poly_moment_value(ifs, coeffs):
@@ -480,15 +447,18 @@ class BernoulliMeasure(SigmaFiniteMeasure):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         lam, T = self.lam, self.inversion_cutoff
         n0 = int(np.ceil(np.log(T / 1e-9) / np.log(1.0 / lam)))
-        nodes_t, weights_t = _panel_rule(1e-9, T, max(int(2 * T), 128), 8)
+        edges = np.linspace(1e-9, T, max(int(2 * T), 128) + 1)
+        nodes_t, weights_t = (a.ravel() for a in quadrature.panel_rule(edges, 8))
         chf = np.ones_like(nodes_t)
         for n in range(1, n0 + 1):
             chf = chf * np.cos(lam**n * nodes_t)
         kern = weights_t * chf / nodes_t
         half = nodes_t <= T / 2
-        sines = np.sin(np.outer(xs, nodes_t))
-        full = 0.5 + (sines @ kern) / np.pi
-        part = 0.5 + (sines[:, half] @ kern[half]) / np.pi
+        full, part = np.empty(len(xs)), np.empty(len(xs))
+        for i in range(0, len(xs), _INVERSION_ROWS):
+            sines = np.sin(np.outer(xs[i : i + _INVERSION_ROWS], nodes_t))
+            full[i : i + _INVERSION_ROWS] = 0.5 + (sines @ kern) / np.pi
+            part[i : i + _INVERSION_ROWS] = 0.5 + (sines[:, half] @ kern[half]) / np.pi
         return full, np.abs(full - part)
 
     def measure_of(self, A: BorelSet) -> float:

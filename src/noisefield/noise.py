@@ -68,15 +68,18 @@ class GaussianNoiseField:
         self.J = J if J is not None else default_truncation(self.basis)
         if self.basis.size is not None and self.J > self.basis.size:
             raise ValueError(f"truncation {self.J} exceeds basis size {self.basis.size}")
-        self._coeff_cache: dict[BorelSet, np.ndarray] = {}
+        self._coeff_cache: dict[tuple, np.ndarray] = {}
 
     # -- coefficients ---------------------------------------------------------
 
     def coefficients(self, A: BorelSet) -> np.ndarray:
-        cached = self._coeff_cache.get(A)
+        # a cylinder word selects exact coefficients, so it is part of the key
+        # even though BorelSet equality ignores it
+        key = (A.intervals, A.word)
+        cached = self._coeff_cache.get(key)
         if cached is None:
             cached = self.basis.indicator_coefficients(A, self.J)
-            self._coeff_cache[A] = cached
+            self._coeff_cache[key] = cached
         return cached
 
     def ito_coefficients(self, f) -> np.ndarray:

@@ -31,12 +31,19 @@ def integrate(f, a: float, b: float, n: int = 64):
     return v2, abs(v2 - v1)
 
 
-def integrate_panels(f, edges: np.ndarray, n: int = 32) -> float:
-    """Composite Gauss-Legendre over consecutive [edges[k], edges[k+1]] panels."""
+def panel_rule(edges, n: int):
+    """Composite Gauss-Legendre rule, one (nodes, weights) row per [edges[k], edges[k+1]] panel."""
     edges = np.asarray(edges, dtype=float)
     x, w = _rule(n)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    X = mid[:, None] + half[:, None] * x[None, :]
-    W = half[:, None] * w[None, :]
+    return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
+
+
+def integrate_panels(f, edges: np.ndarray, n: int = 32) -> float:
+    """Composite Gauss-Legendre over consecutive [edges[k], edges[k+1]] panels.
+
+    ``f`` receives the (panels, n) array of nodes.
+    """
+    X, W = panel_rule(edges, n)
     return float((np.asarray(f(X), dtype=float) * W).sum())

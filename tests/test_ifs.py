@@ -62,6 +62,54 @@ def test_inverse_is_left_inverse_of_branches():
         ifs.inverse(0.5)
 
 
+CDF_SYSTEMS = [
+    cantor_system(),
+    binary_system(),
+    make_ifs([(0.6, 0.0), (0.25, 0.75)], [0.7, 0.3]),
+    make_ifs(
+        [(Fraction(1, 5), Fraction(0)), (Fraction(1, 4), Fraction(2, 5)), (Fraction(1, 5), Fraction(4, 5))],
+        [Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)],
+    ),
+    make_ifs([(Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 3), Fraction(0))], [0.25, 0.75]),
+]
+
+
+@pytest.mark.parametrize("ifs", CDF_SYSTEMS)
+def test_array_cdf_matches_scalar_calls_bit_for_bit(ifs):
+    lo, hi = ifs.hull
+    grid = np.concatenate(
+        [
+            np.linspace(lo - 0.1, hi + 0.1, 301),
+            ifs.cell_images(3, lo),
+            ifs.cell_images(3, hi),
+            [lo, hi, np.nextafter(lo, -1.0), np.nextafter(hi, 2.0)],
+        ]
+    )
+    got = ifs.cdf(np.stack([grid, grid[::-1]]))
+    scalars = [ifs.cdf(x) for x in grid]
+    assert all(isinstance(v, float) for v in scalars)
+    assert got.shape == (2, len(grid))
+    assert np.array_equal(got[0], scalars)
+    assert np.array_equal(got[1], scalars[::-1])
+
+
+@pytest.mark.parametrize("ifs", CDF_SYSTEMS)
+def test_digits_of_cell_images_are_their_words(ifs):
+    n, depth = ifs.n_branches, 4
+    lo, hi = ifs.hull
+    codes = np.arange(n**depth)
+    words = np.stack([(codes // n**k) % n for k in range(depth)], axis=1)
+    assert np.array_equal(ifs.digits(ifs.cell_images(depth, 0.5 * (lo + hi)), depth), words)
+    assert np.array_equal(ifs.cell_images(depth, lo), [ifs.cylinder_interval(w)[0] for w in words])
+
+
+def test_digits_reject_gap_points():
+    ifs = cantor_system()
+    assert ifs.digits([0.1, 0.9], 2).tolist() == [[0, 0], [1, 1]]
+    with pytest.raises(ValueError, match="coding"):
+        ifs.digits([0.1, 0.5], 2)
+
+
 def test_scaling_dimension():
     assert cantor_system().scaling_dimension() == pytest.approx(np.log(2) / np.log(3), abs=1e-10)
     assert binary_system().scaling_dimension() == pytest.approx(1.0, abs=1e-12)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,23 @@ def test_cantor_callable_integration_matches_moments():
     val, err = mu.integrate(lambda x: x**2)
     assert val == pytest.approx(3 / 8, abs=1e-10)
     assert err < 1e-8
+
+
+def test_cantor_callable_integration_over_a_set():
+    # (0, 1/2] meets the attractor in the first cylinder: (1/2) E[(X/3)^2] = 1/48
+    val, _ = cantor_measure().integrate(lambda x: x**2, BorelSet.interval(0, 0.5))
+    assert abs(val - 1 / 48) < 1e-7
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: the CDF at deep cell endpoints drifts by up to ~6e-11, so the "
+    "depth-15 cell masses of (0, 1/2] sum to 0.4999998 and the error (1.4e-8) exceeds "
+    "the depth-doubling estimate (1.0e-8)",
+)
+def test_cantor_set_integral_is_within_its_error_estimate():
+    val, err = cantor_measure().integrate(lambda x: x**2, BorelSet.interval(0, 0.5))
+    assert abs(val - 1 / 48) <= err
 
 
 def test_cantor_cylinder_polynomial_integral_is_exact():
@@ -231,6 +249,16 @@ def test_bernoulli_small_lambda_bounds():
     lo, hi = mu.support_hull()
     assert (lo, hi) == pytest.approx((-0.5, 0.5))
     assert mu.measure_of(BorelSet.interval(-0.5, 0.5)) == pytest.approx(1.0)
+
+
+def test_bernoulli_inversion_integral_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        BernoulliMeasure(0.75).integrate(lambda x: x**2)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 64.0
 
 
 def test_bernoulli_large_lambda_inversion_cdf():

@@ -118,6 +118,22 @@ def test_covariance_mc_cantor_cylinder():
     assert abs(est - 0.5) < 4 * se
 
 
+def test_coefficient_cache_separates_cylinder_words_from_plain_intervals():
+    # BorelSet equality ignores the word, but the word selects the exact
+    # cylinder coefficients, so a plain interval must not reuse them
+    mu = cantor_measure()
+    cyl = mu.ifs.cylinder_set((0, 1))
+    plain = BorelSet(cyl.intervals)
+    assert plain == cyl
+    fresh_plain = GaussianNoiseField(mu, J=1024).coefficients(plain)
+    fresh_cyl = GaussianNoiseField(mu, J=1024).coefficients(cyl)
+    assert not np.array_equal(fresh_plain, fresh_cyl)
+    field = GaussianNoiseField(mu, J=1024)
+    field.coefficients(cyl)
+    assert np.array_equal(field.coefficients(plain), fresh_plain)
+    assert np.array_equal(field.coefficients(cyl), fresh_cyl)
+
+
 def test_sine_basis_realizes_lebesgue_noise():
     # increments of the path process give a second realization of interval
     # noise: same covariance structure as the polynomial route
