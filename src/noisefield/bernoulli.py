@@ -83,7 +83,7 @@ def inversion_density(lam: float, xs, cutoff: float = 200.0, panel_nodes: int = 
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     n0 = int(math.ceil(math.log(cutoff / 1e-8) / math.log(1.0 / lam)))
     edges = np.linspace(0.0, cutoff, max(int(2 * cutoff), 64) + 1)
-    tq, wq = (a.ravel() for a in quadrature.panel_rule(edges, panel_nodes))
+    tq, wq = quadrature.panel_rule(edges, panel_nodes)
     chf, _ = fourier_transform(lam, tq, n0)
     return np.cos(np.outer(xs, tq)) @ (wq * chf) / np.pi
 

@@ -448,7 +448,7 @@ class BernoulliMeasure(SigmaFiniteMeasure):
         lam, T = self.lam, self.inversion_cutoff
         n0 = int(np.ceil(np.log(T / 1e-9) / np.log(1.0 / lam)))
         edges = np.linspace(1e-9, T, max(int(2 * T), 128) + 1)
-        nodes_t, weights_t = (a.ravel() for a in quadrature.panel_rule(edges, 8))
+        nodes_t, weights_t = quadrature.panel_rule(edges, 8)
         chf = np.ones_like(nodes_t)
         for n in range(1, n0 + 1):
             chf = chf * np.cos(lam**n * nodes_t)

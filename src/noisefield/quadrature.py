@@ -32,12 +32,15 @@ def integrate(f, a: float, b: float, n: int = 64):
 
 
 def panel_rule(edges, n: int):
-    """Composite Gauss-Legendre rule, one (nodes, weights) row per [edges[k], edges[k+1]] panel."""
+    """Composite Gauss-Legendre nodes and weights over consecutive [edges[k], edges[k+1]].
+
+    The n nodes of each panel are contiguous, panel after panel.
+    """
     edges = np.asarray(edges, dtype=float)
     x, w = _rule(n)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
+    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
 
 
 def integrate_panels(f, edges: np.ndarray, n: int = 32) -> float:
@@ -45,5 +48,5 @@ def integrate_panels(f, edges: np.ndarray, n: int = 32) -> float:
 
     ``f`` receives the (panels, n) array of nodes.
     """
-    X, W = panel_rule(edges, n)
+    X, W = (a.reshape(-1, n) for a in panel_rule(edges, n))
     return float((np.asarray(f(X), dtype=float) * W).sum())
