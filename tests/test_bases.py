@@ -20,27 +20,41 @@ from noisefield import (
 )
 
 
-def exact_gram_schmidt_legendre(n):
-    """Oracle: classical Gram-Schmidt on monomials over [-1, 1] in exact rationals.
+def exact_gram_schmidt_legendre(n, a=-1, b=1, weight=(1,)):
+    """Oracle: classical Gram-Schmidt on monomials in exact rationals.
 
-    Returns (monomial coefficients, squared norm) of the first n orthogonal
-    polynomials; normalization is left to the caller to stay exact.
+    The pairing is the integral over [a, b] against the polynomial weight
+    sum_i weight[i] x^i, from exact moments.  Returns (monomial coefficients,
+    squared norm) of the first n orthogonal polynomials; normalization is left
+    to the caller to stay exact.
     """
+    a, b = Fraction(a), Fraction(b)
+    weight = [Fraction(c) for c in weight]
 
-    def moment(k):  # integral of x^k over [-1, 1]
-        return Fraction(2, k + 1) if k % 2 == 0 else Fraction(0)
+    def moment(k):  # integral of x^k w(x) over [a, b]
+        return sum(c * (b ** (k + i + 1) - a ** (k + i + 1)) / (k + i + 1) for i, c in enumerate(weight))
 
     def dot(p, q):
-        return sum(a * b * moment(i + j) for i, a in enumerate(p) for j, b in enumerate(q))
+        return sum(c * d * moment(i + j) for i, c in enumerate(p) for j, d in enumerate(q))
 
     polys = []
     for k in range(n):
         p = [Fraction(0)] * k + [Fraction(1)]
         for q, qn in polys:
             c = dot(p, q) / qn
-            p = [a - c * (q[i] if i < len(q) else Fraction(0)) for i, a in enumerate(p)]
+            p = [u - c * (q[i] if i < len(q) else Fraction(0)) for i, u in enumerate(p)]
         polys.append((p, dot(p, p)))
     return polys
+
+
+def _oracle_values(oracle, xs):
+    """(len(xs), len(oracle)) orthonormal oracle values, each polynomial summed exactly."""
+    return np.array(
+        [
+            [float(sum(c * Fraction(x) ** i for i, c in enumerate(p))) / np.sqrt(float(nrm2)) for p, nrm2 in oracle]
+            for x in xs
+        ]
+    )
 
 
 def test_legendre_matches_exact_gram_schmidt_oracle():
@@ -55,9 +69,47 @@ def test_legendre_matches_exact_gram_schmidt_oracle():
         assert np.allclose(got, oracle_vals, atol=1e-12)
 
 
+def _one_plus_two_x(x):
+    return 1.0 + 2.0 * np.asarray(x, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "measure", [DensityMeasure(0, 1, [1.0, 2.0]), DensityMeasure(0, 1, _one_plus_two_x)]
+)
+def test_weighted_legendre_matches_exact_gram_schmidt_oracle(measure):
+    basis = make_basis(measure)
+    xs = np.array([0.03, 0.2, 0.5, 0.71, 0.98])
+    oracle = _oracle_values(exact_gram_schmidt_legendre(8, 0, 1, (1, 2)), xs)
+    assert np.abs(basis.evaluate_block(xs, 8) - oracle).max() < 1e-10
+
+
+def test_weighted_legendre_rejects_degenerate_weight():
+    basis = make_basis(DensityMeasure(0, 1, lambda x: (np.asarray(x) < 0.05).astype(float)))
+    with pytest.raises(ValueError, match="degenerate"):
+        basis.evaluate_block(np.array([0.01]), 8)
+
+
 def test_legendre_odd_vanishes_at_zero():
     basis = make_basis(LebesgueMeasure(-1, 1))
     assert abs(basis.evaluate(1, 0.0)[0]) < 1e-14
+
+
+def _test_density(measure):
+    """The density of a test measure, evaluated here rather than through the library."""
+    if isinstance(measure, LebesgueMeasure):
+        return np.ones_like
+    if measure.poly is None:  # the one callable density among the cases
+        return _one_plus_two_x
+    return lambda x: np.polynomial.polynomial.polyval(x, measure.poly)
+
+
+def _independent_gram(basis, n, lo, hi, density):
+    """<phi_j, phi_k> on a 2048-node Gauss rule and a density evaluated here, not by the basis."""
+    u, w = np.polynomial.legendre.leggauss(2048)
+    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * u
+    w = 0.5 * (hi - lo) * w * density(x)
+    B = basis.evaluate_block(x, n)
+    return (B * w[:, None]).T @ B
 
 
 @pytest.mark.parametrize(
@@ -67,11 +119,11 @@ def test_legendre_odd_vanishes_at_zero():
         (LebesgueMeasure(0, 1), 1e-10, 64),
         (DensityMeasure(0, 1, [0.0, 2.0]), 1e-8, 64),
         (DensityMeasure(-1, 2, [1.0, 0.5, 0.25]), 1e-8, 48),
+        (DensityMeasure(0, 1, _one_plus_two_x), 1e-8, 64),
     ],
 )
 def test_legendre_orthonormality(measure, tol, n):
-    basis = make_basis(measure)
-    G = basis.gram(n)
+    G = _independent_gram(make_basis(measure), n, *measure.support_hull(), _test_density(measure))
     assert np.abs(G - np.eye(n)).max() < tol
 
 
@@ -200,7 +252,7 @@ def test_transformed_basis_is_orthonormal_under_new_measure():
     lam = LebesgueMeasure(0, 1)
     base = make_basis(mu)
     moved = TransformedBasis(base, lambda x: 2.0 * np.asarray(x, dtype=float), lam)
-    G = moved.gram(24)
+    G = _independent_gram(moved, 24, 0.0, 1.0, np.ones_like)
     assert np.abs(G - np.eye(24)).max() < 1e-8
 
 
@@ -212,6 +264,25 @@ def test_piecewise_basis_diagonalizes_multiplication():
     # functions of the first block vanish on the second piece
     vals = basis.evaluate(2, np.array([0.75, 0.9]))
     assert np.allclose(vals, 0.0)
+
+
+@pytest.mark.parametrize(
+    "measure,tol", [(LebesgueMeasure(0, 1), 0.0), (DensityMeasure(0, 1, _one_plus_two_x), 1e-15)]
+)
+def test_piecewise_coefficients_match_per_index_extraction(measure, tol):
+    edges = [0.0, 0.25, 0.5, 0.8, 1.0]
+    basis = PiecewiseBasis(measure, edges, per_piece=6)
+    A = BorelSet.interval(0.1, 0.77)  # misses the last piece
+    for J in (13, basis.size):
+        indicator, inner = np.zeros(J), np.zeros(J)
+        for j in range(J):
+            piece, sub = divmod(j, basis.per_piece)
+            piece_A = A.clip(edges[piece], edges[piece + 1])
+            if not piece_A.is_empty:
+                indicator[j] = basis.pieces[piece].indicator_coefficients(piece_A, sub + 1)[sub]
+            inner[j] = basis.pieces[piece].inner_coefficients(np.cos, sub + 1)[sub]
+        assert np.abs(basis.indicator_coefficients(A, J) - indicator).max() <= tol
+        assert np.abs(basis.inner_coefficients(np.cos, J) - inner).max() <= tol
 
 
 def test_make_basis_rejects_bernoulli_kind():
