@@ -4,9 +4,9 @@ Kinds and their exactness:
 
 * ``legendre`` -- orthonormal polynomials against Lebesgue or a weighted
   density.  Constant weights use closed-form shifted Legendre polynomials
-  with exact indicator coefficients; general weights run modified
-  Gram-Schmidt with re-orthogonalization on monomials (degree cap 64),
-  represented in the Legendre coefficient basis for stable evaluation.
+  with exact indicator coefficients; general weights take one Householder
+  QR of the weighted Legendre Vandermonde matrix at Gauss nodes (degree cap
+  64), and the basis is held as Legendre coefficients for stable evaluation.
 * ``walsh-cantor`` -- Rademacher products over the digit coding of a
   two-branch equal-weight IFS attractor.  Indexing: the subset S of digit
   positions is the bit pattern of the index j, ordered by (max element,
@@ -28,7 +28,8 @@ mixes of the leading functions.
 Grams: every kind but the sine family pairs its functions in one place,
 ``OrthonormalBasis.gram``, over the points and weights of its
 ``_pairing_rule`` (Gauss rules times the density, atoms and their masses,
-one point per Walsh cell, or the sub-bases' rules concatenated).  The sine
+one point per Walsh cell, or the sub-bases' rules concatenated); Legendre
+and transformed inner coefficients pair over the same rule.  The sine
 family pairs derivatives and keeps its own panel-quadrature gram.
 """
 
@@ -81,6 +82,14 @@ class OrthonormalBasis:
         """<phi_j, f> in L2(mu) for j < J."""
         raise NotImplementedError
 
+    def _pair(self, f, J) -> np.ndarray:
+        """<phi_j, f> for j < J, summed over the pairing rule that ``gram`` uses."""
+        x, w = self._pairing_rule(J)
+        fv = np.asarray(f(x), dtype=float)
+        if not np.all(np.isfinite(fv)):
+            raise ValueError("integrand is unbounded on the support")
+        return (self.evaluate_block(x, J).T * fv) @ w
+
     def gram(self, n) -> np.ndarray:
         """<phi_j, phi_k> for j, k < n, summed over the basis's pairing rule."""
         self._check_J(n)
@@ -120,7 +129,7 @@ class LegendreBasis(OrthonormalBasis):
         elif isinstance(measure, IFSInvariantMeasure) and measure.density_fn() is not None:
             self._const_weight = 1.0 / (self.b - self.a)
         self._quad_nodes = quad_nodes
-        self._coeffs = None  # Gram-Schmidt output, rows = Legendre coefficients
+        self._coeffs = None  # row j = Legendre coefficients of phi_j, built at the cap
 
     @property
     def size(self):
@@ -150,46 +159,23 @@ class LegendreBasis(OrthonormalBasis):
             )
         return out
 
-    # -- weighted Gram-Schmidt ----------------------------------------------
+    # -- weighted QR ------------------------------------------------------------
 
-    def _ensure_gs(self, J):
-        # Modified Gram-Schmidt with re-orthogonalization, applied to the
-        # degree-raising sequence u * p_{k-1} rather than to raw monomials:
-        # raw monomials lose all significant orthogonal content in binary64
-        # near degree 30, while this sequence stays well conditioned.
-        if J > _GS_DEGREE_CAP:
-            raise ValueError(f"weighted legendre basis capped at degree {_GS_DEGREE_CAP}")
-        if self._coeffs is not None and self._coeffs.shape[0] >= J:
+    def _ensure_coeffs(self):
+        # Householder QR of sqrt(w) V, V the Legendre Vandermonde matrix at the
+        # Gauss nodes: P_k = sum_{i<=k} R_ik phi_i, so phi = V R^-1.  Rows of R
+        # flipped to diag(R) > 0 give every phi_k a positive leading
+        # coefficient, the basis Gram-Schmidt on P_0, P_1, ... would give.
+        if self._coeffs is not None:
             return
-        n = _GS_DEGREE_CAP
         xq, wq = quadrature.nodes_weights(self.a, self.b, self._quad_nodes)
         wq = wq * np.asarray(self.measure.density_fn()(xq), dtype=float)
-        V = L.legvander(self._u(xq), n)  # column k = P_k(u(x)) at the nodes
-
-        def node_values(c):
-            return V[:, : len(c)] @ c
-
-        coeffs = np.zeros((n, n + 1))
-        vals = np.zeros((n, len(xq)))
-        c0 = np.zeros(n + 1)
-        c0[0] = 1.0
-        v0 = node_values(c0)
-        nrm = math.sqrt(float(v0 * v0 @ wq))
-        coeffs[0], vals[0] = c0 / nrm, v0 / nrm
-        for k in range(1, n):
-            c = L.legmulx(coeffs[k - 1][:k])[: n + 1]
-            c = np.pad(c, (0, n + 1 - len(c)))
-            v = node_values(c)
-            for _ in range(2):  # re-orthogonalize: twice is enough
-                for m in range(k):
-                    proj = float(vals[m] * v @ wq)
-                    c -= proj * coeffs[m]
-                    v -= proj * vals[m]
-            nrm = math.sqrt(max(float(v * v @ wq), 0.0))
-            if nrm < 1e-13:
-                raise ValueError("weight is too degenerate for this degree")
-            coeffs[k], vals[k] = c / nrm, v / nrm
-        self._coeffs = coeffs[:, :n]
+        V = L.legvander(self._u(xq), _GS_DEGREE_CAP - 1)
+        R = np.linalg.qr(np.sqrt(wq)[:, None] * V, mode="r")
+        d = np.diag(R)
+        if not np.all(np.abs(d) >= 1e-13):  # NaN from a bad weight fails too
+            raise ValueError("weight is too degenerate for this degree")
+        self._coeffs = np.linalg.inv(R * np.sign(d)[:, None]).T
 
     # -- public surface -------------------------------------------------------
 
@@ -201,7 +187,7 @@ class LegendreBasis(OrthonormalBasis):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if self._const_weight is not None:
             return self._const_block(xs, J)
-        self._ensure_gs(J)
+        self._ensure_coeffs()
         V = L.legvander(self._u(xs), _GS_DEGREE_CAP - 1)
         return V @ self._coeffs[:J].T
 
@@ -223,25 +209,11 @@ class LegendreBasis(OrthonormalBasis):
             for a_i, s_i in f.terms:
                 out += a_i * self.indicator_coefficients(s_i, J)
             return out
-        xq, wq = quadrature.nodes_weights(self.a, self.b, 2 * self._quad_nodes)
-        dens = (
-            np.full_like(xq, self._const_weight)
-            if self._const_weight is not None
-            else np.asarray(self.measure.density_fn()(xq), dtype=float)
-        )
-        fv = np.asarray(f(xq), dtype=float)
-        if not np.all(np.isfinite(fv)):
-            raise ValueError("integrand is unbounded on the support")
-        return (self.evaluate_block(xq, J).T * dens * fv) @ wq
+        return self._pair(f, J)
 
     def _pairing_rule(self, n):
         xq, wq = quadrature.nodes_weights(self.a, self.b, 2 * self._quad_nodes)
-        dens = (
-            np.full_like(xq, self._const_weight)
-            if self._const_weight is not None
-            else np.asarray(self.measure.density_fn()(xq), dtype=float)
-        )
-        return xq, wq * dens
+        return xq, wq * np.asarray(self.measure.density_fn()(xq), dtype=float)
 
     def to_descriptor(self):
         return {"kind": self.kind, "measure": self.measure.to_descriptor()}
@@ -544,20 +516,19 @@ class PiecewiseBasis(OrthonormalBasis):
     def indicator_coefficients(self, A, J):
         self._check_J(J)
         out = np.zeros(J)
-        for j in range(J):
-            piece, sub = divmod(j, self.per_piece)
-            a, b = self.edges[piece], self.edges[piece + 1]
-            piece_A = A.clip(a, b)
+        for start in range(0, J, self.per_piece):
+            k, n = start // self.per_piece, min(self.per_piece, J - start)
+            piece_A = A.clip(self.edges[k], self.edges[k + 1])
             if not piece_A.is_empty:
-                out[j] = self.pieces[piece].indicator_coefficients(piece_A, sub + 1)[sub]
+                out[start : start + n] = self.pieces[k].indicator_coefficients(piece_A, n)
         return out
 
     def inner_coefficients(self, f, J):
         self._check_J(J)
         out = np.zeros(J)
-        for j in range(J):
-            piece, sub = divmod(j, self.per_piece)
-            out[j] = self.pieces[piece].inner_coefficients(f, sub + 1)[sub]
+        for start in range(0, J, self.per_piece):
+            n = min(self.per_piece, J - start)
+            out[start : start + n] = self.pieces[start // self.per_piece].inner_coefficients(f, n)
         return out
 
     def _pairing_rule(self, n):
@@ -607,11 +578,7 @@ class TransformedBasis(OrthonormalBasis):
         return out
 
     def inner_coefficients(self, f, J):
-        lo, hi = self.measure.support_hull()
-        xq, wq = quadrature.nodes_weights(lo, hi, 512)
-        dens = np.asarray(self.measure.density_fn()(xq), dtype=float)
-        fv = np.asarray(f(xq), dtype=float)
-        return (self.evaluate_block(xq, J).T * dens * fv) @ wq
+        return self._pair(f, J)
 
     def _pairing_rule(self, n):
         lo, hi = self.measure.support_hull()

@@ -282,7 +282,8 @@ def test_piecewise_coefficients_match_per_index_extraction(measure, tol):
                 indicator[j] = basis.pieces[piece].indicator_coefficients(piece_A, sub + 1)[sub]
             inner[j] = basis.pieces[piece].inner_coefficients(np.cos, sub + 1)[sub]
         assert np.abs(basis.indicator_coefficients(A, J) - indicator).max() <= tol
-        assert np.abs(basis.inner_coefficients(np.cos, J) - inner).max() <= tol
+        # a BLAS matrix-vector product may sum a row in an order that depends on the row count
+        assert np.abs(basis.inner_coefficients(np.cos, J) - inner).max() <= 1e-15
 
 
 def test_make_basis_rejects_bernoulli_kind():
