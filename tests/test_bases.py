@@ -32,7 +32,9 @@ def exact_gram_schmidt_legendre(n, a=-1, b=1, weight=(1,)):
     weight = [Fraction(c) for c in weight]
 
     def moment(k):  # integral of x^k w(x) over [a, b]
-        return sum(c * (b ** (k + i + 1) - a ** (k + i + 1)) / (k + i + 1) for i, c in enumerate(weight))
+        return sum(
+            c * (b ** (k + i + 1) - a ** (k + i + 1)) / (k + i + 1) for i, c in enumerate(weight)
+        )
 
     def dot(p, q):
         return sum(c * d * moment(i + j) for i, c in enumerate(p) for j, d in enumerate(q))
@@ -49,12 +51,10 @@ def exact_gram_schmidt_legendre(n, a=-1, b=1, weight=(1,)):
 
 def _oracle_values(oracle, xs):
     """(len(xs), len(oracle)) orthonormal oracle values, each polynomial summed exactly."""
-    return np.array(
-        [
-            [float(sum(c * Fraction(x) ** i for i, c in enumerate(p))) / np.sqrt(float(nrm2)) for p, nrm2 in oracle]
-            for x in xs
-        ]
-    )
+    def value(p, nrm2, x):
+        return float(sum(c * Fraction(x) ** i for i, c in enumerate(p))) / np.sqrt(float(nrm2))
+
+    return np.array([[value(p, nrm2, x) for p, nrm2 in oracle] for x in xs])
 
 
 def test_legendre_matches_exact_gram_schmidt_oracle():
