@@ -54,6 +54,7 @@ from .measures import (
 from .sets import BorelSet
 
 _GS_DEGREE_CAP = 64
+_MAX_COND = 1e8  # largest 2-norm condition number of R a weighted basis may have
 DEFAULT_J = {"legendre": 32, "walsh-cantor": 1024, "sine-brownian": 10_000}
 
 
@@ -172,10 +173,11 @@ class LegendreBasis(OrthonormalBasis):
         wq = wq * np.asarray(self.measure.density_fn()(xq), dtype=float)
         V = L.legvander(self._u(xq), _GS_DEGREE_CAP - 1)
         R = np.linalg.qr(np.sqrt(wq)[:, None] * V, mode="r")
-        d = np.diag(R)
-        if not np.all(np.abs(d) >= 1e-13):  # NaN from a bad weight fails too
+        # a relative test: beyond cond(R) ~ 1e8 the coefficients of R^-1 are too
+        # large to evaluate accurately off the nodes
+        if not (np.all(np.isfinite(R)) and np.linalg.cond(R) <= _MAX_COND):
             raise ValueError("weight is too degenerate for this degree")
-        self._coeffs = np.linalg.inv(R * np.sign(d)[:, None]).T
+        self._coeffs = np.linalg.inv(R * np.sign(np.diag(R))[:, None]).T
 
     # -- public surface -------------------------------------------------------
 
@@ -365,14 +367,12 @@ class SineBasis(OrthonormalBasis):
     def gram(self, n):
         self._check_J(n)
         edges = np.linspace(0.0, 1.0, 4 * max(n, 2))
+        D = self.derivative_block(quadrature.panel_rule(edges, 12)[0], n)
         G = np.empty((n, n))
         for j in range(n):
             for k in range(j, n):
                 G[j, k] = G[k, j] = quadrature.integrate_panels(
-                    lambda x, j=j, k=k: self.derivative_block(x.ravel(), max(j, k) + 1)[:, j].reshape(x.shape)
-                    * self.derivative_block(x.ravel(), max(j, k) + 1)[:, k].reshape(x.shape),
-                    edges,
-                    12,
+                    lambda x, j=j, k=k: (D[:, j] * D[:, k]).reshape(x.shape), edges, 12
                 )
         return G
 
@@ -396,8 +396,9 @@ class AtomicBasis(OrthonormalBasis):
     def evaluate(self, j, x):
         self._check_J(j + 1)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        pt, m = self._atoms[j]
-        return np.where(np.abs(x - pt) <= 1e-12, 1.0 / math.sqrt(m), 0.0)
+        m = self._atoms[j][1]
+        at_atom = AtomicMeasure(self._atoms[j : j + 1]).atom_mass_at(x) > 0
+        return np.where(at_atom, 1.0 / math.sqrt(m), 0.0)
 
     def indicator_coefficients(self, A, J):
         self._check_J(J)
@@ -437,17 +438,12 @@ class CompositeBasis(OrthonormalBasis):
     def size(self):
         return self.split + self.atomic_basis.size
 
-    def _atom_points(self):
-        return np.array([x for x, _ in self.atomic_basis._atoms])
-
     def evaluate(self, j, x):
         self._check_J(j + 1)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if j < self.split:
             vals = np.asarray(self.density_basis.evaluate(j, x), dtype=float)
-            for pt in self._atom_points():
-                vals = np.where(np.abs(x - pt) <= 1e-12, 0.0, vals)
-            return vals
+            return np.where(self.atomic_basis.measure.atom_mass_at(x) > 0, 0.0, vals)
         return self.atomic_basis.evaluate(j - self.split, x)
 
     def indicator_coefficients(self, A, J):

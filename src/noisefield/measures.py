@@ -8,6 +8,11 @@ intervals and ``integrate`` with an error estimate; kinds are also
 decomposable into (Lebesgue density, atoms, singular components), which is
 what the Radon-Nikodym and sigma-function machinery works with.
 
+This module owns that decomposition: ``atom_mass_at`` is the one
+atom-matching rule (``_ATOM_TOL``), ``SumMeasure`` merges atoms and singular
+bases, and ``_radon_nikodym`` is the one d(mu)/d(lam), a vectorized callable
+that ``radon_nikodym_on_grid`` and ``sigma`` both read.
+
 Exactness: interval masses are closed-form for Lebesgue, polynomial
 densities, atomic measures, and IFS invariant measures (branch-descent CDF);
 everything else is quadrature with a node-doubling error estimate.
@@ -107,11 +112,16 @@ class SigmaFiniteMeasure:
             grid = np.unique(np.concatenate([grid, np.asarray(pts, dtype=float)]))
         return grid
 
-    def atom_mass_at(self, x: float) -> float:
-        for a, m in self.atoms():
-            if abs(a - x) <= _ATOM_TOL:
-                return m
-        return 0.0
+    def atom_mass_at(self, x):
+        """Mass of the first atom within ``_ATOM_TOL`` of x, elementwise; 0 off the atoms.
+
+        This is the one atom-matching rule: scalar in, float out.
+        """
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        for a, m in reversed(self.atoms()):
+            out = np.where(np.abs(a - x) <= _ATOM_TOL, m, out)
+        return out if out.ndim else float(out)
 
     def _clipped(self, A: BorelSet) -> BorelSet:
         lo, hi = self.support_hull()
@@ -353,7 +363,6 @@ class IFSInvariantMeasure(SigmaFiniteMeasure):
             return _poly_moment_value(self.ifs, coeffs), 0.0
         if A.word is not None:
             # exact: restrict to the cylinder by composing the word into the polynomial
-            rw, sw = 1.0, 0.0
             exact = all(
                 isinstance(v, (int, Fraction))
                 for v in list(self.ifs.ratios) + list(self.ifs.shifts)
@@ -363,7 +372,7 @@ class IFSInvariantMeasure(SigmaFiniteMeasure):
             for d in A.word:
                 r = Fraction(self.ifs.ratios[d]) if exact else float(self.ifs.ratios[d])
                 s = Fraction(self.ifs.shifts[d]) if exact else float(self.ifs.shifts[d])
-                rw, sw = rw * r, r * sw + s
+                rw, sw = rw * r, rw * s + sw
             shifted = _poly_affine_substitute(coeffs, rw, sw)
             mass = self.ifs.cylinder_mass(A.word)
             return mass * _poly_moment_value(self.ifs, shifted), 0.0
@@ -579,53 +588,53 @@ def sum_measure(mu1: SigmaFiniteMeasure, mu2: SigmaFiniteMeasure) -> SumMeasure:
 
 
 def radon_nikodym_on_grid(mu, lam, grid) -> np.ndarray:
-    """Pointwise d(mu)/d(lam) on the grid; nan where lam vanishes along with mu.
+    """``_radon_nikodym(mu, lam)`` on the grid; nan where lam vanishes along with mu."""
+    return _radon_nikodym(mu, lam)(np.asarray(grid, dtype=float))
 
-    Supported via the (density, atoms, singular) decomposition: densities are
-    compared pointwise, atoms by mass ratio, and purely singular pairs must be
-    built from the same base measure (e.g. a measure against its own sum), in
-    which case the derivative is the constant scale ratio.
 
-    Raises when absolute continuity visibly fails on the grid: an atom of mu
-    that lam does not carry, or positive mu-density where lam has none.
+def _radon_nikodym(mu, lam):
+    """d(mu)/d(lam) as a vectorized callable; nan where lam vanishes along with mu.
+
+    Supported via the (density, atoms, singular) decomposition: atoms by mass
+    ratio (matched by ``atom_mass_at``), densities pointwise elsewhere, and
+    purely singular pairs must be multiples of one base measure (e.g. a
+    measure against its own sum), in which case the derivative is the
+    constant scale ratio; any other singular content raises here.
+
+    The callable raises when absolute continuity visibly fails at its points:
+    an atom of mu that lam does not carry, or positive mu-density where lam
+    has none.
     """
-    grid = np.asarray(grid, dtype=float)
     mu_sing, lam_sing = mu.singular_parts(), lam.singular_parts()
     if mu_sing or lam_sing:
-        return _singular_rn(mu, lam, mu_sing, lam_sing, grid)
-
-    w_mu = mu.density_fn()
-    w_lam = lam.density_fn()
-    out = np.full(grid.shape, np.nan)
-    for i, x in enumerate(grid):
-        ml = lam.atom_mass_at(x)
-        mm = mu.atom_mass_at(x)
-        if ml > 0:
-            out[i] = mm / ml
-            continue
-        if mm > 0:
-            raise ValueError(f"atom of the numerator at {x} is not an atom of the base")
-        dm = float(np.asarray(w_mu(np.array([x])))[0]) if w_mu is not None else 0.0
-        dl = float(np.asarray(w_lam(np.array([x])))[0]) if w_lam is not None else 0.0
-        if dl > 0:
-            out[i] = dm / dl
-        elif dm > 0:
-            raise ValueError(f"numerator density positive at {x} where the base vanishes")
-    return out
-
-
-def _singular_rn(mu, lam, mu_sing, lam_sing, grid):
-    mu_all_sing = abs(sum(s for _, s in mu_sing) - mu.total_mass()) < 1e-9
-    lam_all_sing = abs(sum(s for _, s in lam_sing) - lam.total_mass()) < 1e-9
-    if not (mu_all_sing and lam_all_sing and len(mu_sing) == 1 and len(lam_sing) == 1):
-        raise ValueError(
-            "pointwise derivative for singular components needs both measures to be "
-            "multiples of one common base"
+        one_base = all(
+            len(parts) == 1 and abs(parts[0][1] - m.total_mass()) < 1e-9
+            for m, parts in ((mu, mu_sing), (lam, lam_sing))
         )
-    (mb, ms), (lb, ls) = mu_sing[0], lam_sing[0]
-    if not _same_singular(mb, lb):
-        raise ValueError("singular components are mutually singular: no derivative")
-    return np.full(np.asarray(grid, dtype=float).shape, ms / ls)
+        if not (one_base and _same_singular(mu_sing[0][0], lam_sing[0][0])):
+            raise ValueError(
+                "no pointwise derivative: the singular parts are not multiples of one common base"
+            )
+        ratio = mu_sing[0][1] / lam_sing[0][1]
+        return lambda x: np.full(np.shape(x), ratio)
+    w_mu, w_lam = mu.density_fn(), lam.density_fn()
+
+    def rn(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        mm, ml = mu.atom_mass_at(x), lam.atom_mass_at(x)
+        dm = np.asarray(w_mu(x), dtype=float) if w_mu is not None else np.zeros(x.shape)
+        dl = np.asarray(w_lam(x), dtype=float) if w_lam is not None else np.zeros(x.shape)
+        off_atoms = ml == 0
+        for bad, what in (
+            (mm > 0, "atom of the numerator at {} is not an atom of the base"),
+            ((dl <= 0) & (dm > 0), "numerator density positive at {} where the base vanishes"),
+        ):
+            if np.any(bad & off_atoms):
+                raise ValueError(what.format(np.extract(bad & off_atoms, x)[0]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(off_atoms, np.where(dl > 0, dm / dl, np.nan), mm / ml)
+
+    return rn
 
 
 def measure_from_descriptor(desc: dict) -> SigmaFiniteMeasure:

@@ -7,7 +7,8 @@ lam-a.e. for the dominating measure lam = mu1 + mu2; the inner product is
 
 which this module evaluates through the measures' decomposition into density,
 atomic, and singular components: mutually singular components contribute
-nothing, matched components pair up exactly.
+nothing, matched components pair up exactly.  Sums and the equivalence test
+take d mu/d lam from ``measures`` and read it as 0 where lam vanishes.
 
 Almost-everywhere statements are decided on a canonical grid (default 2048
 points, attractor anchors for singular kinds) plus every atom.
@@ -15,13 +16,15 @@ points, attractor anchors for singular kinds) plus every atom.
 ``SigmaLift`` realizes the classes of a finite family of measures as centered
 Gaussian variables on the shared coordinate space: one orthonormal block for
 the absolutely continuous plus atomic part of the family's dominating sum,
-and one coordinate block for each distinct singular base.  Equivalent pairs
+and one coordinate block for each distinct singular base; the atoms and the
+singular bases are those of the family's ``SumMeasure``.  Equivalent pairs
 receive identical coefficient sequences, hence identical lifts per sample
 point at any truncation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,6 +35,7 @@ from .measures import (
     AtomicMeasure,
     DensityMeasure,
     SigmaFiniteMeasure,
+    _radon_nikodym,
     _same_singular,
     sum_measure,
 )
@@ -101,11 +105,17 @@ def inner_product(F1: SigmaFunction, F2: SigmaFunction) -> float:
     return total
 
 
+def _rn_or_zero(mu, lam):
+    """d mu / d lam on points, read as 0 where lam vanishes."""
+    rn = _radon_nikodym(mu, lam)
+    return lambda x: np.nan_to_num(rn(x), nan=0.0, posinf=np.inf, neginf=-np.inf)
+
+
 def add(F1: SigmaFunction, F2: SigmaFunction) -> SigmaFunction:
     """Representative of the sum over the dominating measure lam = mu1 + mu2."""
     lam = sum_measure(F1.mu, F2.mu)
-    r1 = _pointwise_rn(F1.mu, lam)
-    r2 = _pointwise_rn(F2.mu, lam)
+    r1 = _rn_or_zero(F1.mu, lam)
+    r2 = _rn_or_zero(F2.mu, lam)
 
     def rep(x):
         x = np.asarray(x, dtype=float)
@@ -117,47 +127,11 @@ def add(F1: SigmaFunction, F2: SigmaFunction) -> SigmaFunction:
     return SigmaFunction(rep, lam, grid=grid)
 
 
-def _pointwise_rn(mu, lam):
-    """d mu / d lam as a function on points, built from the decompositions."""
-    mu_sing, lam_sing = mu.singular_parts(), lam.singular_parts()
-    if mu_sing or lam_sing:
-        mu_pure = abs(sum(s for _, s in mu_sing) - mu.total_mass()) < 1e-9
-        lam_pure = abs(sum(s for _, s in lam_sing) - lam.total_mass()) < 1e-9
-        if (
-            mu_pure
-            and lam_pure
-            and len(mu_sing) == 1
-            and len(lam_sing) == 1
-            and _same_singular(mu_sing[0][0], lam_sing[0][0])
-        ):
-            ratio = mu_sing[0][1] / lam_sing[0][1]
-            return lambda x: np.full(np.shape(np.asarray(x)), ratio)
-        raise ValueError(
-            "no pointwise derivative: distinct singular components in the pair"
-        )
-    w_mu, w_lam = mu.density_fn(), lam.density_fn()
-    atoms_mu = {round(x / 1e-12): m for x, m in mu.atoms()}
-    atoms_lam = {round(x / 1e-12): m for x, m in lam.atoms()}
-
-    def rn(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        dm = np.asarray(w_mu(x), dtype=float) if w_mu is not None else np.zeros_like(x)
-        dl = np.asarray(w_lam(x), dtype=float) if w_lam is not None else np.zeros_like(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(dl > 0, dm / np.where(dl > 0, dl, 1.0), 0.0)
-        for key, ml in atoms_lam.items():
-            pt = key * 1e-12
-            out = np.where(np.abs(x - pt) <= 1e-12, atoms_mu.get(key, 0.0) / ml, out)
-        return out
-
-    return rn
-
-
 def equivalence_residual(F1: SigmaFunction, F2: SigmaFunction) -> float:
     """max over the grid of |f1 sqrt(d mu1/d lam) - f2 sqrt(d mu2/d lam)|, lam = mu1 + mu2."""
     lam = sum_measure(F1.mu, F2.mu)
-    r1 = _pointwise_rn(F1.mu, lam)
-    r2 = _pointwise_rn(F2.mu, lam)
+    r1 = _rn_or_zero(F1.mu, lam)
+    r2 = _rn_or_zero(F2.mu, lam)
     grid = np.unique(
         np.concatenate(
             [F1.grid, F2.grid, np.asarray([x for x, _ in lam.atoms()], dtype=float)]
@@ -188,22 +162,15 @@ class SigmaLift:
         self.measures = list(measures)
         if not self.measures:
             raise ValueError("need at least one measure")
-        dens_parts = [m for m in self.measures if m.density_fn() is not None]
-        atom_pool = {}
-        for m in self.measures:
-            for x, w in m.atoms():
-                key = round(x / 1e-12)
-                atom_pool[key] = (x, atom_pool.get(key, (x, 0.0))[1] + w)
-        self._atoms = tuple(sorted(atom_pool.values()))
+        lam = functools.reduce(sum_measure, self.measures)
+        self._atoms = lam.atoms()
         self._blocks = []
         offset = 0
+        dens_parts = [m for m in self.measures if m.density_fn() is not None]
         if dens_parts:
-            fns = [m.density_fn() for m in dens_parts]
             lo = min(m.support_hull()[0] for m in dens_parts)
             hi = max(m.support_hull()[1] for m in dens_parts)
-            lam_density = DensityMeasure(
-                lo, hi, lambda x, fns=fns: sum(np.asarray(g(x), dtype=float) for g in fns)
-            )
+            lam_density = DensityMeasure(lo, hi, lam.density_fn())
             basis = LegendreBasis(lam_density)
             self._blocks.append(("density", basis, offset, J_density, lam_density))
             offset += J_density
@@ -211,12 +178,7 @@ class SigmaLift:
             basis = AtomicBasis(AtomicMeasure(self._atoms))
             self._blocks.append(("atoms", basis, offset, len(self._atoms), None))
             offset += len(self._atoms)
-        seen = []
-        for m in self.measures:
-            for base, _ in m.singular_parts():
-                if not any(_same_singular(base, b) for b in seen):
-                    seen.append(base)
-        for base in seen:
+        for base, _ in lam.singular_parts():
             inner = getattr(base, "_ifs_measure", None) or base
             basis = WalshBasis(inner, depth=walsh_depth)
             self._blocks.append(("singular", basis, offset, 2**walsh_depth, base))
