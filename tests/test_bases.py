@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +90,27 @@ def test_weighted_legendre_rejects_degenerate_weight():
         basis.evaluate_block(np.array([0.01]), 8)
 
 
+@pytest.mark.parametrize(
+    "density",
+    [lambda x: np.asarray(x) ** 20, lambda x: (np.asarray(x) < 0.5).astype(float)],
+    ids=["x^20", "step"],
+)
+def test_weighted_legendre_rejects_ill_conditioned_weight(density):
+    basis = make_basis(DensityMeasure(0, 1, density))
+    with pytest.raises(ValueError, match="degenerate"):
+        basis.evaluate_block(np.array([0.3]), 8)
+
+
+@pytest.mark.parametrize(
+    "density",
+    [[1.0, 2.0], [0.0, 2.0], lambda x: np.exp(-20 * np.asarray(x))],
+    ids=["1+2x", "2x", "exp"],
+)
+def test_weighted_legendre_builds_on_well_conditioned_weight(density):
+    basis = make_basis(DensityMeasure(0, 1, density))
+    assert np.all(np.isfinite(basis.evaluate_block(np.linspace(0, 1, 9), 64)))
+
+
 def test_legendre_odd_vanishes_at_zero():
     basis = make_basis(LebesgueMeasure(-1, 1))
     assert abs(basis.evaluate(1, 0.0)[0]) < 1e-14
@@ -103,13 +125,29 @@ def _test_density(measure):
     return lambda x: np.polynomial.polynomial.polyval(x, measure.poly)
 
 
-def _independent_gram(basis, n, lo, hi, density):
-    """<phi_j, phi_k> on a 2048-node Gauss rule and a density evaluated here, not by the basis."""
+def _gram_on(basis, n, x, w):
+    B = basis.evaluate_block(x, n)
+    return (B * w[:, None]).T @ B
+
+
+def _independent_gram(basis, n, lo, hi, density, atoms=()):
+    """<phi_j, phi_k> on a 2048-node Gauss rule and a density evaluated here, not by the basis.
+
+    ``atoms`` are (point, mass) pairs added to the rule.
+    """
     u, w = np.polynomial.legendre.leggauss(2048)
     x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * u
     w = 0.5 * (hi - lo) * w * density(x)
-    B = basis.evaluate_block(x, n)
-    return (B * w[:, None]).T @ B
+    x = np.concatenate([x, [a for a, _ in atoms]])
+    w = np.concatenate([w, [m for _, m in atoms]])
+    return _gram_on(basis, n, x, w)
+
+
+def _cantor_cell_rule(depth):
+    """Midpoints of the depth-``depth`` middle-third intervals, each of Cantor mass 2^-depth."""
+    words = np.array(list(itertools.product((0, 1), repeat=depth)))
+    left = (2 * words) @ (3.0 ** -np.arange(1, depth + 1))
+    return left + 0.5 * 3.0**-depth, np.full(len(words), 2.0**-depth)
 
 
 @pytest.mark.parametrize(
@@ -227,8 +265,8 @@ def test_atomic_parseval_exact():
 def test_composite_basis_for_density_plus_atoms():
     mu = sum_measure(LebesgueMeasure(0, 1), AtomicMeasure([(0.5, 2.0)]))
     basis = make_basis(mu, J=257)
-    G = basis.gram(65)
-    assert np.abs(G - np.eye(65)).max() < 1e-8
+    G = _independent_gram(basis, basis.size, 0.0, 1.0, np.ones_like, atoms=[(0.5, 2.0)])
+    assert np.abs(G - np.eye(basis.size)).max() < 1e-8
     c = basis.indicator_coefficients(BorelSet.interval(0.4, 0.6), 257)
     assert np.sum(c**2) == pytest.approx(mu.measure_of(BorelSet.interval(0.4, 0.6)), abs=3e-3)
 
@@ -236,9 +274,12 @@ def test_composite_basis_for_density_plus_atoms():
 def test_change_of_basis_preserves_gram():
     rng = np.random.default_rng(3)
     U, _ = np.linalg.qr(rng.normal(size=(12, 12)))
-    for base in (make_basis(LebesgueMeasure(0, 1)), WalshBasis(cantor_measure(), depth=5)):
-        mixed = MixedBasis(base, U)
-        G = mixed.gram(16)
+    legendre = MixedBasis(make_basis(LebesgueMeasure(0, 1)), U)
+    walsh = MixedBasis(WalshBasis(cantor_measure(), depth=5), U)
+    for G in (
+        _independent_gram(legendre, 16, 0.0, 1.0, np.ones_like),
+        _gram_on(walsh, 16, *_cantor_cell_rule(5)),
+    ):
         assert np.abs(G - np.eye(16)).max() < 1e-10
 
 

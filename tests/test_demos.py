@@ -1,0 +1,24 @@
+"""Every script under demos/ runs to completion in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert DEMOS, "no scripts under demos/"
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_exits_cleanly(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -141,6 +141,41 @@ def test_cantor_cylinder_polynomial_integral_is_exact():
     assert err == 0.0
 
 
+def test_cantor_word_integral_composes_branches_in_word_order():
+    # the cylinder of (0, 1) is tau_0(tau_1(K)) = [2/9, 1/3], not tau_1(tau_0(K))
+    mu = cantor_measure()
+    val, err = mu.integrate([0, 1], mu.ifs.cylinder_set((0, 1)))
+    assert val == Fraction(5, 72)
+    assert err == 0.0
+
+
+def _three_branch_measure():
+    from noisefield import IFSInvariantMeasure, make_ifs
+
+    F = Fraction
+    branches = [(F(1, 4), F(0)), (F(1, 5), F(2, 5)), (F(1, 4), F(3, 4))]
+    return IFSInvariantMeasure(make_ifs(branches, [F(1, 2), F(1, 5), F(3, 10)]))
+
+
+@pytest.mark.parametrize(
+    "mu", [cantor_measure(), _three_branch_measure()], ids=["cantor", "three-branch"]
+)
+def test_word_polynomial_integrals_match_the_interval_path(mu):
+    import itertools
+
+    # depth 8 keeps the interval path to ~2e-7 here at a tenth of the default's cost
+    k = mu.ifs.n_branches
+    words = [w for n in (1, 2, 3) for w in itertools.product(range(k), repeat=n)]
+    for deg in range(4):
+        coeffs = [Fraction(1, j + 2) for j in range(deg + 1)]
+        poly = np.polynomial.polynomial.Polynomial([float(c) for c in coeffs])
+        for word in words:
+            A = mu.ifs.cylinder_set(word)
+            exact, _ = mu.integrate(coeffs, A)
+            interval, _ = mu.integrate(poly, BorelSet(A.intervals), depth=8)
+            assert abs(float(exact) - interval) < 1e-6, (word, deg)
+
+
 def test_unbounded_integrand_rejected():
     mu = LebesgueMeasure(0, 1)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unbounded"):
@@ -196,6 +231,23 @@ def test_rn_atom_violation_detected():
     lam = AtomicMeasure([(0.25, 1.0)])
     with pytest.raises(ValueError, match="atom"):
         radon_nikodym_on_grid(mu, lam, np.array([0.25, 0.5]))
+
+
+def test_rn_density_plus_atoms_matches_pointwise_oracle():
+    mu = sum_measure(DensityMeasure(0, 1, [0.0, 2.0]), AtomicMeasure([(0.25, 0.2)]))
+    rest = sum_measure(LebesgueMeasure(0, 1), AtomicMeasure([(0.25, 0.5), (0.6, 1.5)]))
+    lam = sum_measure(mu, rest)
+    grid = np.array([-0.5, 0.0, 0.1, 0.25, 0.25 + 1e-9, 0.4, 0.6, 0.6 + 1e-13, 0.9, 1.0, 1.2])
+
+    def oracle(x):  # lam: density 2x + 1 on (0, 1], atoms 0.7 at 0.25 and 1.5 at 0.6
+        if abs(x - 0.25) <= 1e-12:
+            return 0.2 / 0.7
+        if abs(x - 0.6) <= 1e-12:
+            return 0.0
+        return 2 * x / (2 * x + 1) if 0 < x <= 1 else np.nan
+
+    want = np.array([oracle(x) for x in grid])
+    np.testing.assert_allclose(radon_nikodym_on_grid(mu, lam, grid), want, rtol=1e-15)
 
 
 def test_rn_chain_rule_on_grid():

@@ -154,6 +154,18 @@ def test_equivalence_with_atoms():
     assert equivalent(F, G)
 
 
+def test_equivalence_residual_reads_vanishing_lam_as_zero():
+    # both canonical grids hold points off every atom, where lam = mu1 + mu2 vanishes
+    F = SigmaFunction(ident, AtomicMeasure([(0.2, 1.0), (0.4, 2.0)]))
+    G = SigmaFunction(lambda x: ident(x) ** 2, AtomicMeasure([(0.6, 0.5), (0.8, 3.0)]))
+    assert equivalence_residual(F, G) == 0.8**2
+
+
+def test_add_rejects_pair_without_pointwise_derivative():
+    with pytest.raises(ValueError, match="no pointwise derivative"):
+        add(SigmaFunction(const(1.0), cantor_measure()), SigmaFunction(const(1.0), LEB))
+
+
 # -- lifts -------------------------------------------------------------------------
 
 
@@ -222,6 +234,13 @@ def test_lift_of_nonoverlapping_random_series_law():
     xi = sample_xi(2, space.total_J)
     # the constant representative pairs with the leading digit function only
     assert space.lift(F, xi) == pytest.approx(xi.coords[0], abs=1e-12)
+
+
+def test_lift_rejects_density_family_with_a_gap():
+    # the pooled density vanishes on (1, 2]: its weighted Legendre basis is ill-conditioned
+    space = SigmaLift([LEB, LebesgueMeasure(2, 3)])
+    with pytest.raises(ValueError, match="degenerate"):
+        space.coefficients(SigmaFunction(const(1.0), LEB))
 
 
 def test_lift_handles_singular_blocks():
