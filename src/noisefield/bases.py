@@ -54,7 +54,7 @@ from .measures import (
 from .sets import BorelSet
 
 _GS_DEGREE_CAP = 64
-_MAX_COND = 1e8  # largest 2-norm condition number of R a weighted basis may have
+_MAX_COND = 1e8
 DEFAULT_J = {"legendre": 32, "walsh-cantor": 1024, "sine-brownian": 10_000}
 
 
@@ -173,8 +173,8 @@ class LegendreBasis(OrthonormalBasis):
         wq = wq * np.asarray(self.measure.density_fn()(xq), dtype=float)
         V = L.legvander(self._u(xq), _GS_DEGREE_CAP - 1)
         R = np.linalg.qr(np.sqrt(wq)[:, None] * V, mode="r")
-        # a relative test: beyond cond(R) ~ 1e8 the coefficients of R^-1 are too
-        # large to evaluate accurately off the nodes
+        # past a 2-norm cond(R) of ~1e8 the coefficients of R^-1 are too large
+        # to evaluate accurately off the nodes
         if not (np.all(np.isfinite(R)) and np.linalg.cond(R) <= _MAX_COND):
             raise ValueError("weight is too degenerate for this degree")
         self._coeffs = np.linalg.inv(R * np.sign(np.diag(R))[:, None]).T
