@@ -172,8 +172,8 @@ def cross_term_bound_mc(bc: BernoulliConvolution, r: float, n: int, stream_id=No
     bound = sqrt(2 Var X) * sqrt(P(|X - X'| <= r)).
     """
     sid = bc.stream_id if stream_id is None else stream_id
-    x1 = bc.sample(n, stream_id=streams.bits(sid, np.array([0], dtype=np.uint64))[0])
-    x2 = bc.sample(n, stream_id=streams.bits(sid, np.array([1], dtype=np.uint64))[0])
+    x1 = bc.sample(n, stream_id=streams.child_stream(sid, 0))
+    x2 = bc.sample(n, stream_id=streams.child_stream(sid, 1))
     indicator = (np.abs(x1 - x2) <= r).astype(float)
     vals = (x2 - x1) * indicator
     est = float(vals.mean())

@@ -124,29 +124,34 @@ def _poly_fn(coeffs):
 
 
 def _emit(args, descriptor: dict, header, rows):
-    """CSV: '# descriptor' comment line, then header and rows.  JSON: one object."""
-    text_rows = [[_fmt(v) for v in row] for row in rows]
-    if args.format == "json":
-        payload = {
-            "descriptor": descriptor,
-            "columns": list(header),
-            "rows": text_rows,
-        }
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        lines = ["# " + json.dumps(descriptor, sort_keys=True)]
-        lines.append(",".join(header))
-        lines.extend(",".join(row) for row in text_rows)
-        body = "\n".join(lines) + "\n"
+    """CSV: '# descriptor' comment line, then header and rows.  JSON: one object.
+
+    CSV rows are written as they are formatted, so ``rows`` may be an iterator.
+    """
     if args.out:
         path = args.out
         outdir = os.environ.get("NOISEFIELD_OUTDIR")
         if outdir and not os.path.isabs(path):
             path = os.path.join(outdir, path)
         with open(path, "w", newline="") as fh:
-            fh.write(body)
+            _write(fh, args.format, descriptor, header, rows)
     else:
-        sys.stdout.write(body)
+        _write(sys.stdout, args.format, descriptor, header, rows)
+
+
+def _write(fh, fmt, descriptor, header, rows):
+    if fmt == "json":
+        payload = {
+            "descriptor": descriptor,
+            "columns": list(header),
+            "rows": [[_fmt(v) for v in row] for row in rows],
+        }
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        return
+    fh.write("# " + json.dumps(descriptor, sort_keys=True) + "\n")
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _fmt(v) -> str:
@@ -192,7 +197,7 @@ def cmd_sample_path(args):
     field = noise.GaussianNoiseField(mu, J=args.J)
     vals = field.noise_samples(A, args.N, args.seed)
     desc = _descriptor(args, measure=mu.to_descriptor(), A=args.A, J=field.J)
-    _emit(args, desc, ["sample", "value"], list(enumerate(vals)))
+    _emit(args, desc, ["sample", "value"], enumerate(vals))
 
 
 def cmd_covariance(args):

@@ -237,10 +237,6 @@ def lift(F: SigmaFunction, xi, J_density: int = 64) -> float:
 # -- correlated copies ------------------------------------------------------------
 
 
-def _child_stream(stream_id, tag: int) -> np.uint64:
-    return streams.bits(stream_id, np.array([tag], dtype=np.uint64))[0]
-
-
 class CorrelatedPair:
     """Two jointly Gaussian noise fields with prescribed correlation density.
 
@@ -260,8 +256,8 @@ class CorrelatedPair:
         self.rho = self.basis.multiplier_eigenvalues(vals)
         self.J = self.basis.size
         self.mu = mu
-        self._xi_id = _child_stream(stream_id, 0)
-        self._eta_id = _child_stream(stream_id, 1)
+        self._xi_id = streams.child_stream(stream_id, 0)
+        self._eta_id = streams.child_stream(stream_id, 1)
 
     def sample_pair(self, A: BorelSet, n: int, first: int = 0):
         c = self.basis.indicator_coefficients(A, self.J)

@@ -11,12 +11,21 @@ Uniform bits come from the SplitMix64 sequence (seed mixed once, then the
 Standard normals are produced by inverting the normal CDF (``ndtri``) on the
 53-bit uniform; the inversion is fixed across platforms.
 
-Sample row ``n`` of a stream is the per-sample substream ``substream(s, n)``;
-every row-addressed sampler reads its words from ``_words``.  Samplers walk
-sample rows on one grid of ``_BLOCK_ROWS`` (2^13) rows.  Emitted samples
-(``emit_rows``) reduce each row on its own, so they do not depend on the
-grid.  Monte Carlo reductions (``mc_mean``) add per-block sums in block
-order, so for them the 2^13-row grid is part of the replay contract.
+Sample row ``n`` of a stream is the per-sample substream ``substream(s, n)``.
+Samplers walk sample rows on one grid of ``_BLOCK_ROWS`` (2^13) rows.
+Emitted samples (``emit_rows``) reduce each row on its own, so they do not
+depend on the grid.  Monte Carlo reductions (``mc_mean``) add per-block sums
+in block order, so for them the 2^13-row grid is part of the replay contract.
+
+Words are generated by one kernel, ``_fill``, which walks its output in tiles
+of about ``_TILE_WORDS`` (2^15) words, so that the word buffer stays in the
+L2 cache: it hashes a tile into a reused ``uint64`` buffer, runs the
+finalizer in place and writes the tile's uniforms, normals or signs straight
+into the output.  ``mc_mean`` and ``linear_samples`` likewise walk each grid
+block tile by tile.  The tile is not part of the replay contract: every value
+is a pure function of its coordinate and every reduction runs row by row, so
+no tile size changes a byte.  Tile buffers belong to one call, so concurrent
+calls share nothing.
 """
 
 from __future__ import annotations
@@ -29,19 +38,27 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0xD6E8FEB86659FD93)
 _BLOCK_ROWS = 1 << 13
+_TILE_WORDS = 1 << 15  # 256 KiB per uint64 buffer
 
 
-def _finalize(z):
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+def _mix(words, scratch):
+    """The SplitMix64 finalizer, in place on ``words``; ``scratch`` has their shape."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(words, np.uint64(shift), out=scratch)
+        np.bitwise_xor(words, scratch, out=words)
+        if mult is not None:
+            np.multiply(words, mult, out=words)
+    return words
+
+
+def _finalize(z) -> np.ndarray:
+    z = np.asarray(z, dtype=np.uint64)
+    return _mix(z, np.empty_like(z))
 
 
 def _stream_base(stream_id) -> np.uint64:
     # whiten the stream id so that numerically adjacent ids give unrelated counters
-    with np.errstate(over="ignore"):
-        return _finalize(np.uint64(stream_id) ^ _STREAM_SALT)
+    return _finalize(np.uint64(stream_id) ^ _STREAM_SALT)[()]
 
 
 def bits(stream_id, indices) -> np.ndarray:
@@ -54,22 +71,20 @@ def bits(stream_id, indices) -> np.ndarray:
 
 def uniforms(stream_id, indices) -> np.ndarray:
     """Uniforms in (0,1), 53 significant bits, never exactly 0 or 1."""
-    return _unit(bits(stream_id, indices))
-
-
-def _unit(words):
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    words = bits(stream_id, indices)
+    return _unit(words, np.empty(words.shape))
 
 
 def normals(stream_id, count, offset=0) -> np.ndarray:
     """``count`` standard normal coordinates starting at ``offset``."""
-    u = uniforms(stream_id, np.arange(offset, offset + count, dtype=np.uint64))
-    return ndtri(u)
+    idx = np.arange(offset, offset + count, dtype=np.uint64)
+    return _fill([_stream_base(stream_id)], idx, np.empty((1, count)), _normal)[0]
 
 
 def normals_at(stream_id, indices) -> np.ndarray:
     """Standard normals at an arbitrary set of coordinate indices."""
-    return ndtri(uniforms(stream_id, indices))
+    u = uniforms(stream_id, indices)
+    return ndtri(u, out=u)
 
 
 def normal_matrix(stream_id, n_samples, n_coords, first_sample=0) -> np.ndarray:
@@ -84,28 +99,78 @@ def normal_matrix(stream_id, n_samples, n_coords, first_sample=0) -> np.ndarray:
 
 def normal_matrix_at(stream_id, n_samples, indices, first_sample=0) -> np.ndarray:
     """Rows are per-sample substreams, columns the requested coordinate indices."""
-    return ndtri(_unit(_words(stream_id, first_sample, n_samples, indices)))
+    return _fill_rows(stream_id, first_sample, n_samples, indices, _normal)
 
 
 def uniform_matrix(stream_id, n_samples, n_coords, first_sample=0) -> np.ndarray:
     """(n_samples, n_coords) uniforms in (0,1), rows addressed like normal_matrix."""
-    return _unit(_words(stream_id, first_sample, n_samples, np.arange(n_coords, dtype=np.uint64)))
-
-
-def _words(stream_id, first, n_rows, idx) -> np.ndarray:
-    """(n_rows, len(idx)) words: row r reads the substream of sample ``first + r``."""
-    subs = substream(stream_id, np.arange(first, first + n_rows, dtype=np.uint64))
-    idx = np.asarray(idx, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        base = _finalize(subs ^ _STREAM_SALT)
-        state = base[:, None] + (idx[None, :] + np.uint64(1)) * _PHI
-    return _finalize(state)
+    return _fill_rows(stream_id, first_sample, n_samples, np.arange(n_coords), _unit)
 
 
 def substream(stream_id, sample_index):
     """Derive the per-sample stream id: whitened stream id XOR sample index."""
+    return _stream_base(stream_id) ^ np.asarray(sample_index, dtype=np.uint64)
+
+
+def child_stream(stream_id, tag: int) -> np.uint64:
+    """Id of the child stream ``tag`` of a stream: its word at coordinate ``tag``."""
+    return bits(stream_id, np.array([tag], dtype=np.uint64))[0]
+
+
+# -- the tiled word kernel ------------------------------------------------------
+
+
+def _unit(words, out):
+    """Write the 53-bit uniforms of ``words`` into ``out``; ``words`` is overwritten."""
+    np.right_shift(words, np.uint64(11), out=words)
+    np.copyto(out, words, casting="unsafe")
+    out += 0.5
+    out *= 2.0**-53
+    return out
+
+
+def _normal(words, out):
+    return ndtri(_unit(words, out), out=out)
+
+
+def _sign(words, out):
+    np.bitwise_and(words, np.uint64(1), out=words)
+    np.copyto(out, words, casting="unsafe")
+    out *= -2.0
+    out += 1.0
+    return out
+
+
+def _fill_rows(stream_id, first, n_rows, indices, finish) -> np.ndarray:
+    """(n_rows, len(indices)) values: row r reads the substream of sample ``first + r``."""
+    rows = substream(stream_id, np.arange(first, first + n_rows, dtype=np.uint64))
+    bases = _finalize(rows ^ _STREAM_SALT)
+    return _fill(bases, indices, np.empty((n_rows, len(indices))), finish)
+
+
+def _fill(bases, indices, out, finish) -> np.ndarray:
+    """Fill ``out[r, c]`` from the word of coordinate ``indices[c]`` on the counter ``bases[r]``.
+
+    Walks ``out`` in tiles of at most ``_TILE_WORDS`` words (whole rows when
+    they fit, else pieces of one row): each tile's counters go into one
+    reused word buffer, are finalized in place, and ``finish(words, tile)``
+    writes their values into the tile of ``out``.
+    """
+    bases = np.asarray(bases, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _stream_base(stream_id) ^ np.asarray(sample_index, dtype=np.uint64)
+        steps = (np.asarray(indices, dtype=np.uint64) + np.uint64(1)) * _PHI
+    n_rows, n_cols = out.shape
+    cols = max(1, min(n_cols, _TILE_WORDS))
+    rows = max(1, min(n_rows, _TILE_WORDS // cols))
+    words = np.empty(rows * cols, dtype=np.uint64)
+    scratch = np.empty_like(words)
+    for r in range(0, n_rows, rows):
+        for c in range(0, n_cols, cols):
+            tile = out[r : r + rows, c : c + cols]
+            w = words[: tile.size].reshape(tile.shape)
+            np.add(bases[r : r + rows, None], steps[None, c : c + cols], out=w)
+            finish(_mix(w, scratch[: tile.size].reshape(tile.shape)), tile)
+    return out
 
 
 def row_dot(mat, vec) -> np.ndarray:
@@ -120,13 +185,13 @@ def row_dot(mat, vec) -> np.ndarray:
 
 def signs(stream_id, indices) -> np.ndarray:
     """Fair +-1 coins, one per coordinate index."""
-    return 1.0 - 2.0 * (bits(stream_id, indices) & np.uint64(1)).astype(np.float64)
+    words = bits(stream_id, indices)
+    return _sign(words, np.empty(words.shape))
 
 
 def sign_matrix(stream_id, n_samples, n_coords, first_sample=0) -> np.ndarray:
     """(n_samples, n_coords) array of fair +-1 coins, rows addressed like normal_matrix."""
-    words = _words(stream_id, first_sample, n_samples, np.arange(n_coords, dtype=np.uint64))
-    return 1.0 - 2.0 * (words & np.uint64(1)).astype(np.float64)
+    return _fill_rows(stream_id, first_sample, n_samples, np.arange(n_coords), _sign)
 
 
 def digit_matrix(stream_id, n_samples, n_coords, n_branches, first_sample=0) -> np.ndarray:
@@ -151,30 +216,44 @@ def emit_rows(out, first, block):
     return out
 
 
+def _by_tiles(row, m, width, tile) -> np.ndarray:
+    """``tile(r, t)`` over the tiles of sample rows ``row .. row + m - 1``, concatenated.
+
+    A tile holds about ``_TILE_WORDS`` words of ``width`` coordinates each.
+    """
+    step = max(1, _TILE_WORDS // max(width, 1))
+    return np.concatenate([tile(r, min(step, row + m - r)) for r in range(row, row + m, step)])
+
+
 def linear_samples(stream_id, n, indices, coeffs, first=0) -> np.ndarray:
     """sum_j coeffs[j] * xi[indices[j]] for sample rows ``first .. first + n - 1``."""
 
-    def block(row, m):
-        return row_dot(normal_matrix_at(stream_id, m, indices, row), coeffs)
+    def tile(row, t):
+        return row_dot(normal_matrix_at(stream_id, t, indices, row), coeffs)
 
-    return emit_rows(np.empty(n), first, block)
+    return emit_rows(np.empty(n), first, lambda row, m: _by_tiles(row, m, len(indices), tile))
 
 
 def mc_mean(stream_id, n, indices, values):
     """Monte Carlo mean of ``values`` over sample rows 0 .. n-1, with standard errors.
 
-    ``values(xi)`` maps an (m, len(indices)) block of normals, rows per
+    ``values(xi)`` maps an (m, len(indices)) array of normals, rows per
     sample and columns the requested coordinates, to m real or complex
-    values.  Block sums of values and of squares are added in block order.
-    Returns (complex mean, (se_real, se_imag)).
+    values, row by row.  It is called once per tile; the values of a grid
+    block are concatenated, and block sums of values and of squares are added
+    in block order.  Returns (complex mean, (se_real, se_imag)).
     """
     if n < 1:
         raise ValueError("need at least one sample")
     idx = np.asarray(indices, dtype=np.uint64)
+
+    def tile(row, t):
+        return values(normal_matrix_at(stream_id, t, idx, row))
+
     s1 = np.zeros(2)
     s2 = np.zeros(2)
     for start in range(0, n, _BLOCK_ROWS):
-        vals = values(normal_matrix_at(stream_id, min(_BLOCK_ROWS, n - start), idx, start))
+        vals = _by_tiles(start, min(_BLOCK_ROWS, n - start), len(idx), tile)
         parts = np.real(vals), np.imag(vals)
         s1 += [p.sum() for p in parts]
         s2 += [(p * p).sum() for p in parts]

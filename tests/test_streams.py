@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,3 +150,101 @@ def test_reduction_rejects_empty_runs():
         noise.moment_identity_mc(0, 2, c, 0, 2)
     with pytest.raises(ValueError, match="at least one sample"):
         kernels.fourier_map_isometry(LEB, [A], [1.0], 0, 17, J=8)
+
+
+# -- the word tiles ----------------------------------------------------------------
+
+C = np.array([0.3, -0.2, 0.1, 0.05])
+B = BorelSet.interval(0.4, 1.0)
+IDX = np.array([5, 0, 70_000, 3], dtype=np.uint64)
+
+# Everything that draws stream words, at sizes that keep 1-word tiles quick.
+TILED = {
+    "normals": lambda: streams.normals(4, 300, 33),
+    "normal_matrix_at": lambda: streams.normal_matrix_at(3, 40, IDX, 8180),
+    "uniform_matrix": lambda: streams.uniform_matrix(3, 40, 47, 11),
+    "sign_matrix": lambda: streams.sign_matrix(3, 40, 47, 11),
+    "digit_matrix": lambda: streams.digit_matrix(3, 40, 47, 3, 11),
+    **{f"emitter:{name}": functools.partial(emit, 100) for name, emit in EMITTERS.items()},
+    "covariance_mc": lambda: FIELD.covariance_mc(A, B, 120, 1),
+    "fourier_map_isometry": lambda: kernels.fourier_map_isometry(LEB, [A, B], [1.0, -0.5], 150, 17, J=8),
+    "moment_identity_mc": lambda: noise.moment_identity_mc(0, 1, C, 300, 2),
+}
+
+
+def _same(a, b):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("tile", [1, 5, 1 << 22])
+@pytest.mark.parametrize("name", sorted(TILED))
+def test_results_do_not_depend_on_the_tile(monkeypatch, name, tile):
+    expected = TILED[name]()
+    monkeypatch.setattr(streams, "_TILE_WORDS", tile)
+    assert _same(TILED[name](), expected)
+
+
+def test_reduction_keeps_each_tile_until_its_block_is_summed(monkeypatch):
+    # values() returns a view of its input; a tile buffer reused before the
+    # block sum would change the mean.
+    monkeypatch.setattr(streams, "_TILE_WORDS", 64)
+    n = 2 * 8192 + 5
+    idx = np.array([3, 0, 7], dtype=np.uint64)
+    col = streams.normal_matrix_at(1, n, idx)[:, 0]
+    s1 = 0.0
+    for start in range(0, n, 8192):
+        s1 += col[start : start + 8192].sum()
+    mean, _se = streams.mc_mean(1, n, idx, lambda xi: xi[:, 0])
+    assert mean == complex(s1 / n, 0.0)
+
+
+N_MEM = 3 * 8192 + 5
+FIELD_512 = noise.GaussianNoiseField(LEB, J=512)
+MEMORY = {
+    "covariance_mc": lambda: FIELD_512.covariance_mc(A, B, N_MEM, 1),
+    "noise_samples": lambda: FIELD_512.noise_samples(A, N_MEM, 1),
+    "boundary_process_cov": lambda: kernels.boundary_process_cov(
+        kernels.BrownianKernel(), 0.3, 0.7, 1000, N_MEM, 2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY))
+def test_stream_memory_does_not_grow_with_the_grid_block(name):
+    # A grid block of 8192 rows x 512 coordinates is 32 MB per float64 temporary.
+    MEMORY[name]()  # builds and caches the coefficients
+    tracemalloc.start()
+    try:
+        MEMORY[name]()
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+SMALL = {
+    "covariance_mc": lambda: FIELD.covariance_mc(A, B, 200, 1),
+    "noise_samples": lambda: FIELD.noise_samples(A, 200, 1),
+    "boundary_process_cov": lambda: kernels.boundary_process_cov(
+        kernels.BrownianKernel(), 0.3, 0.7, 64, 1000, 2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_estimators_call_the_traced_stream_layers(monkeypatch, name):
+    # The benchmark's tracer expects these calls on gauss_mc (CALLED_ON in
+    # bench/selftest.py); this is the fast guard for that contract.
+    calls = dict.fromkeys(["normal_matrix_at", "ndtri", "row_dot"], 0)
+    for attr in calls:
+        original = getattr(streams, attr)
+
+        def counted(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(streams, attr, counted)
+    SMALL[name]()
+    assert all(calls.values()), calls
