@@ -10,9 +10,9 @@ Kinds and their exactness:
 * ``walsh-cantor`` -- Rademacher products over the digit coding of a
   two-branch equal-weight IFS attractor.  Indexing: the subset S of digit
   positions is the bit pattern of the index j, ordered by (max element,
-  binary code), which coincides with ordering by j.  Cylinder coefficients
-  are exact.  The digit coding, the cell images and the CDF behind interval
-  coefficients come from ``ifs.IteratedFunctionSystem``.
+  binary code), which coincides with ordering by j.  Indicator coefficients
+  transform the measure's cell masses, so cylinder coefficients are exact.
+  The digit coding and the cell images come from ``ifs.IteratedFunctionSystem``.
 * ``sine-brownian`` -- phi_0(t) = t, phi_k(t) = sqrt(2) sin(k pi t)/(k pi) on
   [0, 1]; orthonormal in the first-derivative inner product.  Set
   coefficients are the increments phi_j(b) - phi_j(a), which realize
@@ -55,6 +55,7 @@ from .sets import BorelSet
 
 _GS_DEGREE_CAP = 64
 _MAX_COND = 1e8
+_INNER_REFINE = 3  # Walsh inner coefficients sample f at 2^3 points per basis cell
 DEFAULT_J = {"legendre": 32, "walsh-cantor": 1024, "sine-brownian": 10_000}
 
 
@@ -233,10 +234,10 @@ def _fwht(v: np.ndarray) -> np.ndarray:
 
 
 class WalshBasis(OrthonormalBasis):
-    # The digit coding, cylinder images and the CDF all come from the IFS
-    # layer.  Cylinder-word sets get exact coefficients; plain intervals go
-    # through the vectorized CDF, whose branch descent drifts ~1e-9 near deep
-    # boundaries.
+    # The digit coding, cylinder images and cell masses all come from the IFS
+    # layer.  Indicator coefficients transform the measure's cell masses, which
+    # are exact product masses for cells inside the set, so a cylinder gets
+    # exact coefficients whether or not it carries its word.
     kind = "walsh-cantor"
 
     def __init__(self, measure: IFSInvariantMeasure, depth: int = 10):
@@ -272,35 +273,23 @@ class WalshBasis(OrthonormalBasis):
 
     def indicator_coefficients(self, A, J):
         self._check_J(J)
-        if A.word is not None and len(A.word) <= self.depth:
-            mass = float(self.ifs.cylinder_mass(A.word))
-            wordbits = sum(1 << k for k, d in enumerate(A.word) if d == 1)
-            wordmask = (1 << len(A.word)) - 1
-            js = np.arange(J)
-            out = np.zeros(J)
-            inside = (js >> len(A.word)) == 0
-            signs = np.array(
-                [(-1) ** int(bin(j & wordbits).count("1")) for j in js[inside]], dtype=float
-            )
-            out[inside] = mass * signs
-            return out
         masses = self.measure.cell_masses(A, self.depth)
         return _fwht(masses)[:J]
 
-    def inner_coefficients(self, f, J, refine: int = 3):
+    def inner_coefficients(self, f, J):
         self._check_J(J)
         if isinstance(f, SimpleFunction):
             out = np.zeros(J)
             for a_i, s_i in f.terms:
                 out += a_i * self.indicator_coefficients(s_i, J)
             return out
-        deep = self.depth + refine
+        deep = self.depth + _INNER_REFINE
         lo, hi = self.ifs.hull
         vals = np.asarray(f(self.ifs.cell_images(deep, 0.5 * (lo + hi))), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("integrand is unbounded on the support")
         deep_masses = vals * (0.5**deep)
-        cell_integrals = deep_masses.reshape(2**refine, 2**self.depth).sum(axis=0)
+        cell_integrals = deep_masses.reshape(2**_INNER_REFINE, 2**self.depth).sum(axis=0)
         return _fwht(cell_integrals)[:J]
 
     def _pairing_rule(self, n):

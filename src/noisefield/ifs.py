@@ -116,6 +116,8 @@ class IteratedFunctionSystem:
         return all(abs(a1 - b0) <= 1e-10 for (_, b0), (a1, _) in zip(imgs, imgs[1:]))
 
     def cylinder_interval(self, word):
+        if not all(d in range(self.n_branches) for d in word):
+            raise ValueError(f"cylinder word {tuple(word)} has a digit that is not a branch index")
         lo, hi = self.hull
         a = self.apply_word(word, lo)
         b = self.apply_word(word, hi)

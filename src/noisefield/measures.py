@@ -19,8 +19,8 @@ everything else is quadrature with a node-doubling error estimate.
 
 The cylinder code of IFS measures (cell images in digit-code order, cylinder
 masses and the branch-descent CDF, vectorized over arrays) lives in
-``ifs.IteratedFunctionSystem``; here cells are only clipped to sets and the
-CDF is differenced at their ends.
+``ifs.IteratedFunctionSystem``; here cells inside a set take their cylinder
+masses, and only cells straddling its endpoints difference the CDF.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ _ATOM_TOL = 1e-12
 # rows of x per sine block in the Fourier-inversion CDF: bounds its memory
 # to a few (rows x quadrature nodes) blocks whatever the number of points
 _INVERSION_ROWS = 64
+_INVERSION_CUTOFF = 2000.0  # frequency cutoff T of the Fourier-inversion CDF
 
 
 @dataclass(frozen=True)
@@ -327,15 +328,23 @@ class IFSInvariantMeasure(SigmaFiniteMeasure):
         return np.sort(self.ifs.cell_images(depth, self.ifs.hull[0]))
 
     def cell_masses(self, A: BorelSet, depth: int) -> np.ndarray:
-        """mu(A intersect cell) for all depth-``depth`` cells in digit-code order."""
+        """mu(A intersect cell) for all depth-``depth`` cells in digit-code order.
+
+        A cell inside A (closed containment: there are no atoms) takes its
+        product mass; only cells straddling an endpoint of A descend the CDF.
+        """
         h0, h1 = self.ifs.hull
         cell_lo = np.maximum(self.ifs.cell_images(depth, h0), h0)
         cell_hi = np.minimum(self.ifs.cell_images(depth, h1), h1)
+        masses = self.ifs.cylinder_masses(depth)
         out = np.zeros(len(cell_lo))
         for a, b in A.intervals:
+            inside = (a <= cell_lo) & (cell_hi <= b)
             lo, hi = np.maximum(cell_lo, a), np.minimum(cell_hi, b)
-            ends = self.ifs.cdf(np.concatenate([lo, hi]))
-            out = np.where(lo < hi, out + (ends[len(lo) :] - ends[: len(lo)]), out)
+            straddle = (lo < hi) & ~inside
+            ends = self.ifs.cdf(np.stack([lo[straddle], hi[straddle]]))
+            out[inside] += masses[inside]
+            out[straddle] += ends[1] - ends[0]
         return out
 
     def integrate(self, f, A=None, nodes=64, depth=None):
@@ -421,11 +430,10 @@ class BernoulliMeasure(SigmaFiniteMeasure):
 
     kind = "bernoulli-convolution"
 
-    def __init__(self, lam: float, inversion_cutoff: float = 2000.0):
+    def __init__(self, lam: float):
         if not 0 < lam < 1:
             raise ValueError("lambda must lie in (0, 1)")
         self.lam = float(lam)
-        self.inversion_cutoff = float(inversion_cutoff)
         self._ifs_measure = (
             IFSInvariantMeasure(bernoulli_system(self.lam)) if lam <= 0.5 else None
         )
@@ -454,7 +462,7 @@ class BernoulliMeasure(SigmaFiniteMeasure):
 
     def _cdf_inversion(self, x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        lam, T = self.lam, self.inversion_cutoff
+        lam, T = self.lam, _INVERSION_CUTOFF
         n0 = int(np.ceil(np.log(T / 1e-9) / np.log(1.0 / lam)))
         edges = np.linspace(1e-9, T, max(int(2 * T), 128) + 1)
         nodes_t, weights_t = quadrature.panel_rule(edges, 8)

@@ -73,13 +73,10 @@ class GaussianNoiseField:
     # -- coefficients ---------------------------------------------------------
 
     def coefficients(self, A: BorelSet) -> np.ndarray:
-        # a cylinder word selects exact coefficients, so it is part of the key
-        # even though BorelSet equality ignores it
-        key = (A.intervals, A.word)
-        cached = self._coeff_cache.get(key)
+        cached = self._coeff_cache.get(A.intervals)
         if cached is None:
             cached = self.basis.indicator_coefficients(A, self.J)
-            self._coeff_cache[key] = cached
+            self._coeff_cache[A.intervals] = cached
         return cached
 
     def ito_coefficients(self, f) -> np.ndarray:

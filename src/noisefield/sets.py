@@ -1,8 +1,8 @@
 """Borel sets as finite disjoint unions of half-open intervals (a, b].
 
 Sets produced by iterated-function-system cylinders additionally carry the
-digit word that generated them, which downstream code uses to compute exact
-coefficients instead of quadrature.
+digit word that generated them, which gives their exact invariant mass and
+exact polynomial integrals over them; coefficients need only the intervals.
 """
 
 from __future__ import annotations

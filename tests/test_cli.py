@@ -61,6 +61,16 @@ def test_sample_floor_is_usage_error():
     assert "--N" in r.stderr
 
 
+def test_cylinder_digit_outside_the_branches_is_usage_error():
+    with pytest.raises(UsageError, match="branch index"):
+        parse_set("cyl:-1", parse_measure("cantor"))
+    for word in ("-1", "2"):
+        r = run_cli(["covariance", "--measure", "cantor", "--A", f"cyl:{word}", "--B", "cyl:1",
+                     "--N", "1000", "--seed", "1"])
+        assert r.returncode == 2, (word, r.stdout)
+        assert "branch index" in r.stderr
+
+
 def test_unknown_subcommand_is_usage_error():
     r = run_cli(["not-a-thing"])
     assert r.returncode == 2

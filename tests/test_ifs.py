@@ -53,6 +53,17 @@ def test_expanding_branch_rejected():
         make_ifs([(1.2, 0.0), (0.3, 0.7)], [0.5, 0.5])
 
 
+def test_cylinder_words_reject_digits_outside_the_branches():
+    # negative indexing would otherwise read digit -1 as the last branch
+    ifs = cantor_system()
+    for word in [(-1,), (2,), (0, -1), (1, 0, 2)]:
+        with pytest.raises(ValueError, match="branch index"):
+            ifs.cylinder_interval(word)
+        with pytest.raises(ValueError, match="branch index"):
+            ifs.cylinder_set(word)
+    assert ifs.cylinder_interval((1, 0)) == (2 / 3, 2 / 3 + 1 / 9)
+
+
 def test_inverse_is_left_inverse_of_branches():
     ifs = cantor_system()
     for i in (0, 1):

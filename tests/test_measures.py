@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -9,12 +10,14 @@ from noisefield import (
     BernoulliMeasure,
     BorelSet,
     DensityMeasure,
+    IFSInvariantMeasure,
     LebesgueMeasure,
     cantor_measure,
     measure_from_descriptor,
     radon_nikodym_on_grid,
     sum_measure,
 )
+from test_coeff_goldens import SYSTEMS
 
 
 # -- BorelSet -------------------------------------------------------------------
@@ -121,15 +124,26 @@ def test_cantor_callable_integration_over_a_set():
     assert abs(val - 1 / 48) < 1e-7
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: the CDF at deep cell endpoints drifts by up to ~6e-11, so the "
-    "depth-15 cell masses of (0, 1/2] sum to 0.4999998 and the error (1.4e-8) exceeds "
-    "the depth-doubling estimate (1.0e-8)",
-)
 def test_cantor_set_integral_is_within_its_error_estimate():
     val, err = cantor_measure().integrate(lambda x: x**2, BorelSet.interval(0, 0.5))
     assert abs(val - 1 / 48) <= err
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_plain_cylinder_intervals_get_product_masses(name):
+    # a cell inside a set takes its product mass, so the bare intervals of a
+    # cylinder give its descendants their cylinder masses bit for bit
+    ifs = SYSTEMS[name]
+    mu = IFSInvariantMeasure(ifs)
+    k = ifs.n_branches
+    for depth in (4, 6):
+        masses = ifs.cylinder_masses(depth)
+        codes = np.arange(k**depth)
+        for word in (w for n in (1, 2, 3) for w in itertools.product(range(k), repeat=n)):
+            code = sum(d * k**i for i, d in enumerate(word))
+            expected = np.where(codes % k ** len(word) == code, masses, 0.0)
+            plain = BorelSet(ifs.cylinder_set(word).intervals)
+            assert np.array_equal(mu.cell_masses(plain, depth), expected), (word, depth)
 
 
 def test_cantor_cylinder_polynomial_integral_is_exact():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.polynomial import hermite_e
@@ -7,6 +9,7 @@ from noisefield import (
     CoordinateFactorMap,
     DensityMeasure,
     GaussianNoiseField,
+    IFSInvariantMeasure,
     LebesgueMeasure,
     SimpleFunction,
     TransformedBasis,
@@ -23,6 +26,7 @@ from noisefield import (
     sample_xi,
 )
 from noisefield import streams
+from test_coeff_goldens import SYSTEMS, WALSH_SYSTEMS
 
 
 # -- sample points -----------------------------------------------------------------
@@ -118,20 +122,27 @@ def test_covariance_mc_cantor_cylinder():
     assert abs(est - 0.5) < 4 * se
 
 
-def test_coefficient_cache_separates_cylinder_words_from_plain_intervals():
-    # BorelSet equality ignores the word, but the word selects the exact
-    # cylinder coefficients, so a plain interval must not reuse them
-    mu = cantor_measure()
-    cyl = mu.ifs.cylinder_set((0, 1))
-    plain = BorelSet(cyl.intervals)
-    assert plain == cyl
-    fresh_plain = GaussianNoiseField(mu, J=1024).coefficients(plain)
-    fresh_cyl = GaussianNoiseField(mu, J=1024).coefficients(cyl)
-    assert not np.array_equal(fresh_plain, fresh_cyl)
-    field = GaussianNoiseField(mu, J=1024)
-    field.coefficients(cyl)
-    assert np.array_equal(field.coefficients(plain), fresh_plain)
-    assert np.array_equal(field.coefficients(cyl), fresh_cyl)
+@pytest.mark.parametrize("name", WALSH_SYSTEMS)
+def test_coefficient_cache_serves_cylinder_words_and_plain_intervals_alike(name):
+    # BorelSet equality and the cache key ignore the word, which is safe only
+    # because a cylinder's bare intervals give its exact coefficients bit for
+    # bit: 2^-n (-1)^|j & word| for the first 2^n indices j, 0 after them
+    mu = IFSInvariantMeasure(SYSTEMS[name])
+    js = np.arange(1024)
+    for word in (w for n in range(1, 6) for w in itertools.product((0, 1), repeat=n)):
+        wordbits = sum(d << k for k, d in enumerate(word))
+        parity = np.array([bin(j & wordbits).count("1") % 2 for j in js])
+        exact = np.where(js < 2 ** len(word), 0.5 ** len(word) * (1.0 - 2.0 * parity), 0.0)
+        cyl = mu.ifs.cylinder_set(word)
+        plain = BorelSet(cyl.intervals)
+        assert plain == cyl
+        fresh_cyl = GaussianNoiseField(mu, J=1024).coefficients(cyl)
+        fresh_plain = GaussianNoiseField(mu, J=1024).coefficients(plain)
+        assert np.array_equal(fresh_plain, fresh_cyl), word
+        assert np.array_equal(fresh_plain, exact), word
+        field = GaussianNoiseField(mu, J=1024)
+        assert field.coefficients(cyl) is field.coefficients(plain)
+        assert len(field._coeff_cache) == 1
 
 
 def test_sine_basis_realizes_lebesgue_noise():
