@@ -55,7 +55,7 @@ from .sets import BorelSet
 
 _GS_DEGREE_CAP = 64
 _MAX_COND = 1e8
-_INNER_REFINE = 3  # Walsh inner coefficients sample f at 2^3 points per basis cell
+_INNER_REFINE = 3  # Walsh inner coefficients sample f at 2**_INNER_REFINE points per cell
 DEFAULT_J = {"legendre": 32, "walsh-cantor": 1024, "sine-brownian": 10_000}
 
 
@@ -234,10 +234,10 @@ def _fwht(v: np.ndarray) -> np.ndarray:
 
 
 class WalshBasis(OrthonormalBasis):
-    # The digit coding, cylinder images and cell masses all come from the IFS
-    # layer.  Indicator coefficients transform the measure's cell masses, which
-    # are exact product masses for cells inside the set, so a cylinder gets
-    # exact coefficients whether or not it carries its word.
+    # The digit coding and cylinder images come from the IFS layer.  Indicator
+    # coefficients transform the measure's cell masses, which are exact product
+    # masses for cells inside the set, so a cylinder gets exact coefficients
+    # whether or not it carries its word.
     kind = "walsh-cantor"
 
     def __init__(self, measure: IFSInvariantMeasure, depth: int = 10):
