@@ -234,13 +234,13 @@ def boundary_process_cov(kernel: PositiveDefiniteKernel, s, t, J: int, n: int, s
     """Monte Carlo E[X_s* X_t] over the Gaussian coordinate law, with stderr."""
     if n < 1000:
         raise ValueError("need at least 1000 samples")
-    fs = np.conj(embed_point(kernel, s, J))
-    ft = np.conj(embed_point(kernel, t, J))
-    idx = np.flatnonzero(np.abs(fs) + np.abs(ft))
-    fs, ft = fs[idx], ft[idx]
-    est, se = streams.mc_mean(
-        stream_id, n, idx, lambda xi: np.conj(streams.row_dot(xi, fs)) * streams.row_dot(xi, ft)
-    )
+    forms = streams.linear_forms(stream_id, np.conj(kernel.feature_block([s, t], J)))
+
+    def values(row, m):
+        W = forms(row, m)
+        return np.conj(W[:, 0]) * W[:, 1]
+
+    est, se = streams.mc_mean(n, values)
     if not kernel.is_complex:
         est = est.real
     return est, se
@@ -294,13 +294,8 @@ def fourier_map_isometry(mu, sets, coeffs, n: int, stream_id, J: int = 512, basi
     G = exp_set_gram(mu, sets)
     kernel_norm = float(a @ G @ a)
     field = GaussianNoiseField(mu, basis=basis, J=J)
-    C = np.stack([field.coefficients(A) for A in sets])  # (n_sets, J)
-    idx = np.flatnonzero(np.abs(C).sum(axis=0))
-    C = C[:, idx]
-
-    def values(xi):
-        W = np.column_stack([streams.row_dot(xi, row) for row in C])
-        return np.abs(streams.row_dot(np.exp(1j * W), a)) ** 2
-
-    mean, se = streams.mc_mean(stream_id, n, idx, values)
+    forms = streams.linear_forms(stream_id, [field.coefficients(A) for A in sets])
+    mean, se = streams.mc_mean(
+        n, lambda row, m: np.abs(streams.row_dot(np.exp(1j * forms(row, m)), a)) ** 2
+    )
     return kernel_norm, mean.real, se[0]

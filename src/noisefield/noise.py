@@ -108,29 +108,21 @@ class GaussianNoiseField:
 
     # -- vectorized Monte Carlo -------------------------------------------------
 
-    def _samples_from_coeffs(self, c: np.ndarray, n: int, stream_id, first: int = 0) -> np.ndarray:
-        idx = np.flatnonzero(c)
-        return streams.linear_samples(stream_id, n, idx, c[idx], first)
-
     def noise_samples(self, A: BorelSet, n: int, stream_id, first: int = 0) -> np.ndarray:
         if self._checked_mass(A) == 0.0:
             return np.zeros(n)
-        return self._samples_from_coeffs(self.coefficients(A), n, stream_id, first)
+        return streams.linear_samples(stream_id, n, self.coefficients(A), first)
 
     def ito_samples(self, f, n: int, stream_id, first: int = 0) -> np.ndarray:
-        return self._samples_from_coeffs(self.ito_coefficients(f), n, stream_id, first)
+        return streams.linear_samples(stream_id, n, self.ito_coefficients(f), first)
 
     def covariance_mc(self, A: BorelSet, B: BorelSet, n: int, stream_id):
         """Sample covariance of (W_A, W_B) over n coupled draws, with standard error."""
         if n < 100:
             raise ValueError("need at least 100 samples")
-        ca, cb = self.coefficients(A), self.coefficients(B)
+        forms = streams.linear_forms(stream_id, [self.coefficients(A), self.coefficients(B)])
         self._checked_mass(A), self._checked_mass(B)
-        idx = np.flatnonzero(np.abs(ca) + np.abs(cb))
-        ca, cb = ca[idx], cb[idx]
-        mean, se = streams.mc_mean(
-            stream_id, n, idx, lambda xi: streams.row_dot(xi, ca) * streams.row_dot(xi, cb)
-        )
+        mean, se = streams.mc_mean(n, lambda row, m: np.prod(forms(row, m), axis=1))
         return mean.real, se[0]
 
     # -- coordinate factorization -------------------------------------------------
@@ -156,10 +148,8 @@ class GaussianNoiseField:
 
 def characteristic_functional_mc(c, n: int, stream_id):
     """Monte Carlo E[exp(i <xi, c>)]; returns (estimate, (se_real, se_imag))."""
-    c = np.asarray(c, dtype=float)
-    idx = np.flatnonzero(c)
-    cz = c[idx]
-    return streams.mc_mean(stream_id, n, idx, lambda xi: np.exp(1j * streams.row_dot(xi, cz)))
+    forms = streams.linear_forms(stream_id, np.asarray(c, dtype=float))
+    return streams.mc_mean(n, lambda row, m: np.exp(1j * forms(row, m)[:, 0]))
 
 
 def characteristic_functional_target(c) -> float:
@@ -169,15 +159,16 @@ def characteristic_functional_target(c) -> float:
 
 def moment_identity_mc(j: int, k: int, c, n: int, stream_id):
     """Monte Carlo E[xi_j xi_k exp(i <xi, c>)] with standard errors."""
-    c = np.asarray(c, dtype=float)
-    idx = np.unique(np.concatenate([np.flatnonzero(c), [j, k]])).astype(np.uint64)
-    pos = {int(v): i for i, v in enumerate(idx)}
-    cz = c[idx.astype(np.intp)]
+    C = np.zeros((3, len(c)))
+    C[0, j] = C[1, k] = 1.0
+    C[2] = c
+    forms = streams.linear_forms(stream_id, C)
 
-    def values(xi):
-        return xi[:, pos[j]] * xi[:, pos[k]] * np.exp(1j * streams.row_dot(xi, cz))
+    def values(row, m):
+        W = forms(row, m)
+        return W[:, 0] * W[:, 1] * np.exp(1j * W[:, 2])
 
-    return streams.mc_mean(stream_id, n, idx, values)
+    return streams.mc_mean(n, values)
 
 
 def moment_identity_target(j: int, k: int, c) -> float:

@@ -225,8 +225,8 @@ class SigmaLift:
 
     def lift_samples(self, F: SigmaFunction, n: int, stream_id, first: int = 0) -> np.ndarray:
         c = self.coefficients(F)
-        idx = np.flatnonzero(np.abs(c) > 1e-15 * max(np.abs(c).max(), 1e-300))
-        return streams.linear_samples(stream_id, n, idx, c[idx], first)
+        c[np.abs(c) <= 1e-15 * max(np.abs(c).max(), 1e-300)] = 0.0
+        return streams.linear_samples(stream_id, n, c, first)
 
 
 def lift(F: SigmaFunction, xi, J_density: int = 64) -> float:

@@ -12,20 +12,29 @@ Standard normals are produced by inverting the normal CDF (``ndtri``) on the
 53-bit uniform; the inversion is fixed across platforms.
 
 Sample row ``n`` of a stream is the per-sample substream ``substream(s, n)``.
-Samplers walk sample rows on one grid of ``_BLOCK_ROWS`` (2^13) rows.
-Emitted samples (``emit_rows``) reduce each row on its own, so they do not
-depend on the grid.  Monte Carlo reductions (``mc_mean``) add per-block sums
-in block order, so for them the 2^13-row grid is part of the replay contract.
+Samplers walk sample rows on one grid of ``_BLOCK_ROWS`` (2^13) rows, through
+a ``block(row, m)`` callable that returns the values of m rows.  Emitted
+samples (``emit_rows``) reduce each row on its own, so they do not depend on
+the grid.  The Monte Carlo reducer (``mc_mean``) adds per-block results in
+block order, so for it the 2^13-row grid is part of the replay contract.
+
+Every Gaussian functional here is a function of finitely many linear forms
+<c, xi> of the coordinates.  ``linear_forms`` is the one block that computes
+them: given a (k, J) coefficient array it draws only the union of the forms'
+nonzero columns (a coordinate with a zero coefficient in every form is never
+drawn; skipping it is exact, since every coordinate is addressed by its
+index) and reduces each form with ``row_dot``.  ``linear_samples`` is its
+k = 1 case, emitted.
 
 Words are generated by one kernel, ``_fill``, which walks its output in tiles
 of about ``_TILE_WORDS`` (2^15) words, so that the word buffer stays in the
 L2 cache: it hashes a tile into a reused ``uint64`` buffer, runs the
 finalizer in place and writes the tile's uniforms, normals or signs straight
-into the output.  ``mc_mean`` and ``linear_samples`` likewise walk each grid
-block tile by tile.  The tile is not part of the replay contract: every value
-is a pure function of its coordinate and every reduction runs row by row, so
-no tile size changes a byte.  Tile buffers belong to one call, so concurrent
-calls share nothing.
+into the output.  ``linear_forms`` likewise walks each grid block tile by
+tile.  The tile is not part of the replay contract: every value is a pure
+function of its coordinate and every reduction runs row by row, so no tile
+size changes a byte.  Tile buffers belong to one call, so concurrent calls
+share nothing.
 """
 
 from __future__ import annotations
@@ -225,35 +234,44 @@ def _by_tiles(row, m, width, tile) -> np.ndarray:
     return np.concatenate([tile(r, min(step, row + m - r)) for r in range(row, row + m, step)])
 
 
-def linear_samples(stream_id, n, indices, coeffs, first=0) -> np.ndarray:
-    """sum_j coeffs[j] * xi[indices[j]] for sample rows ``first .. first + n - 1``."""
+def linear_forms(stream_id, coeffs):
+    """``block(row, m)``: the (m, k) forms W = xi C^T of sample rows ``row .. row + m - 1``.
+
+    ``coeffs`` is a (k, J) array C, real or complex, one form per row.  Only
+    the union of the forms' nonzero columns is drawn, tile by tile, and each
+    form is reduced with ``row_dot``, so W does not depend on the block size.
+    """
+    C = np.atleast_2d(coeffs)
+    idx = np.flatnonzero(np.any(C != 0, axis=0))
+    C = C[:, idx]
 
     def tile(row, t):
-        return row_dot(normal_matrix_at(stream_id, t, indices, row), coeffs)
+        xi = normal_matrix_at(stream_id, t, idx, row)
+        return np.column_stack([row_dot(xi, c) for c in C])
 
-    return emit_rows(np.empty(n), first, lambda row, m: _by_tiles(row, m, len(indices), tile))
+    return lambda row, m: _by_tiles(row, m, len(idx), tile)
 
 
-def mc_mean(stream_id, n, indices, values):
-    """Monte Carlo mean of ``values`` over sample rows 0 .. n-1, with standard errors.
+def linear_samples(stream_id, n, coeffs, first=0) -> np.ndarray:
+    """sum_j coeffs[j] * xi[j] for sample rows ``first .. first + n - 1``."""
+    forms = linear_forms(stream_id, coeffs)
+    return emit_rows(np.empty(n), first, lambda row, m: forms(row, m)[:, 0])
 
-    ``values(xi)`` maps an (m, len(indices)) array of normals, rows per
-    sample and columns the requested coordinates, to m real or complex
-    values, row by row.  It is called once per tile; the values of a grid
-    block are concatenated, and block sums of values and of squares are added
-    in block order.  Returns (complex mean, (se_real, se_imag)).
+
+def mc_mean(n, block):
+    """Monte Carlo mean over sample rows 0 .. n-1, with standard errors.
+
+    ``block(row, m)`` returns the m real or complex values of the sample rows
+    starting at ``row``, computed row by row as for ``emit_rows``.  Block sums
+    of values and of squares are added in block order on the grid.
+    Returns (complex mean, (se_real, se_imag)).
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    idx = np.asarray(indices, dtype=np.uint64)
-
-    def tile(row, t):
-        return values(normal_matrix_at(stream_id, t, idx, row))
-
     s1 = np.zeros(2)
     s2 = np.zeros(2)
     for start in range(0, n, _BLOCK_ROWS):
-        vals = _by_tiles(start, min(_BLOCK_ROWS, n - start), len(idx), tile)
+        vals = block(start, min(_BLOCK_ROWS, n - start))
         parts = np.real(vals), np.imag(vals)
         s1 += [p.sum() for p in parts]
         s2 += [(p * p).sum() for p in parts]

@@ -143,7 +143,7 @@ def test_covariance_reduction_sums_8192_row_blocks_in_order():
 def test_reduction_rejects_empty_runs():
     c = np.array([0.3, 0.0, -0.2])
     with pytest.raises(ValueError, match="at least one sample"):
-        streams.mc_mean(1, 0, [0], lambda xi: xi[:, 0])
+        streams.mc_mean(0, streams.linear_forms(1, [1.0]))
     with pytest.raises(ValueError, match="at least one sample"):
         noise.characteristic_functional_mc(c, 0, 2)
     with pytest.raises(ValueError, match="at least one sample"):
@@ -187,16 +187,18 @@ def test_results_do_not_depend_on_the_tile(monkeypatch, name, tile):
 
 
 def test_reduction_keeps_each_tile_until_its_block_is_summed(monkeypatch):
-    # values() returns a view of its input; a tile buffer reused before the
-    # block sum would change the mean.
+    # The block returns a view of the forms' values; a tile buffer reused
+    # before the block sum would change the mean.
     monkeypatch.setattr(streams, "_TILE_WORDS", 64)
     n = 2 * 8192 + 5
-    idx = np.array([3, 0, 7], dtype=np.uint64)
-    col = streams.normal_matrix_at(1, n, idx)[:, 0]
+    col = streams.normal_matrix_at(1, n, np.array([3], dtype=np.uint64))[:, 0]
     s1 = 0.0
     for start in range(0, n, 8192):
         s1 += col[start : start + 8192].sum()
-    mean, _se = streams.mc_mean(1, n, idx, lambda xi: xi[:, 0])
+    C = np.zeros((3, 8))
+    C[0, 3] = C[1, 0] = C[2, 7] = 1.0
+    forms = streams.linear_forms(1, C)
+    mean, _se = streams.mc_mean(n, lambda row, m: forms(row, m)[:, 0])
     assert mean == complex(s1 / n, 0.0)
 
 
