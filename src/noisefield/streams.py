@@ -262,19 +262,25 @@ def mc_mean(n, block):
     """Monte Carlo mean over sample rows 0 .. n-1, with standard errors.
 
     ``block(row, m)`` returns the m real or complex values of the sample rows
-    starting at ``row``, computed row by row as for ``emit_rows``.  Block sums
-    of values and of squares are added in block order on the grid.
+    starting at ``row``, computed row by row as for ``emit_rows``.  Blocks are
+    reduced in block order on the grid: the mean is the sum of the block sums
+    over n, and each block's sum of squared deviations from its own mean is
+    merged pairwise into the running one (Chan, Golub & LeVeque 1983), so the
+    variance does not cancel when the mean is large against the spread.
     Returns (complex mean, (se_real, se_imag)).
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    s1 = np.zeros(2)
-    s2 = np.zeros(2)
+    total = np.zeros(2)
+    m2 = np.zeros(2)
     for start in range(0, n, _BLOCK_ROWS):
-        vals = block(start, min(_BLOCK_ROWS, n - start))
+        m = min(_BLOCK_ROWS, n - start)
+        vals = block(start, m)
         parts = np.real(vals), np.imag(vals)
-        s1 += [p.sum() for p in parts]
-        s2 += [(p * p).sum() for p in parts]
-    mean = s1 / n
-    var = np.maximum(s2 / n - mean * mean, 0.0)
-    return complex(mean[0], mean[1]), tuple(np.sqrt(var / n))
+        s = np.array([p.sum() for p in parts])
+        delta = s / m - total / max(start, 1)
+        m2 += [((p - si / m) ** 2).sum() for p, si in zip(parts, s)]
+        m2 += delta * delta * (start * m / (start + m))
+        total += s
+    mean = total / n
+    return complex(mean[0], mean[1]), tuple(np.sqrt(m2 / n / n))

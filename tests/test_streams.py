@@ -122,22 +122,62 @@ def test_emitters_do_not_depend_on_block_rows(monkeypatch, name, rows):
     assert np.array_equal(EMITTERS[name](2500), expected)
 
 
+def merged_reduction(blocks, n):
+    """(mean, stderr) of real values given block by block on the grid.
+
+    The mean is the sum of block sums, in block order, over n; each block's
+    squared deviations from its own mean are merged pairwise into the running
+    sum (Chan, Golub & LeVeque), with the running mean taken as total / count.
+    """
+    total = m2 = 0.0
+    count = 0
+    for vals in blocks:
+        m = len(vals)
+        s = vals.sum()
+        delta = s / m - total / max(count, 1)
+        m2 += ((vals - s / m) ** 2).sum()
+        m2 += delta * delta * (count * m / (count + m))
+        total += s
+        count += m
+    assert count == n
+    return total / n, math.sqrt(m2 / n / n)
+
+
+def grid_blocks(n, values, rows=8192):
+    """values(start, m) over consecutive blocks of the 8192-row grid."""
+    return [values(start, min(rows, n - start)) for start in range(0, n, rows)]
+
+
 def test_covariance_reduction_sums_8192_row_blocks_in_order():
-    # Pins the reduction order: plain per-block sums on the 8192-row grid.  On
-    # stream 1 at this N, a 16384-row grid gives different bits for both values.
+    # Pins the reduction order: per-block sums and pairwise-merged squared
+    # deviations on the 8192-row grid, in block order.  On both streams at
+    # this N, a 16384-row grid gives different bits for both values; on
+    # stream 3 the naive s2/n - mean^2 gives a different stderr.
     B = BorelSet.interval(0.4, 1.0)
     n = 3 * 8192 + 5
     ca, cb = FIELD.coefficients(A), FIELD.coefficients(B)
     idx = np.flatnonzero(np.abs(ca) + np.abs(cb))
-    s1 = s2 = 0.0
-    for start in range(0, n, 8192):
-        xi = streams.normal_matrix_at(1, min(8192, n - start), idx, start)
-        prod = streams.row_dot(xi, ca[idx]) * streams.row_dot(xi, cb[idx])
-        s1 += prod.sum()
-        s2 += (prod * prod).sum()
-    mean = s1 / n
-    se = math.sqrt(max(s2 / n - mean * mean, 0.0) / n)
-    assert FIELD.covariance_mc(A, B, n, 1) == (mean, se)
+    for stream in (1, 3):
+
+        def products(start, m):
+            xi = streams.normal_matrix_at(stream, m, idx, start)
+            return streams.row_dot(xi, ca[idx]) * streams.row_dot(xi, cb[idx])
+
+        expected = merged_reduction(grid_blocks(n, products), n)
+        assert FIELD.covariance_mc(A, B, n, stream) == expected
+
+
+@pytest.mark.parametrize("n", [3 * 8192 + 5, 100_000])
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_reduction_variance_does_not_cancel_under_a_large_mean(n, offset):
+    # The spread of offset + xi is that of xi.  The naive s2/n - mean^2 loses
+    # it: 40% high at offset 1e8, and exactly 0 at n = 1e5.
+    forms = streams.linear_forms(1, [1.0])
+    _mean, (se, _) = streams.mc_mean(n, lambda row, m: offset + forms(row, m)[:, 0])
+    v = offset + streams.normal_matrix_at(1, n, [0])[:, 0]
+    mean = math.fsum(v) / n
+    exact = math.sqrt(math.fsum((v - mean) ** 2) / n / n)
+    assert abs(se - exact) < 1e-9 * exact
 
 
 def test_reduction_rejects_empty_runs():
