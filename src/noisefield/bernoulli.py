@@ -172,11 +172,14 @@ def cross_term_bound_mc(bc: BernoulliConvolution, r: float, n: int, stream_id=No
     bound = sqrt(2 Var X) * sqrt(P(|X - X'| <= r)).
     """
     sid = bc.stream_id if stream_id is None else stream_id
-    x1 = bc.sample(n, stream_id=streams.child_stream(sid, 0))
-    x2 = bc.sample(n, stream_id=streams.child_stream(sid, 1))
-    indicator = (np.abs(x1 - x2) <= r).astype(float)
-    vals = (x2 - x1) * indicator
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n))
-    bound = math.sqrt(2.0 * bc.variance()) * math.sqrt(float(indicator.mean()))
-    return est, se, bound
+    children = streams.child_stream(sid, 0), streams.child_stream(sid, 1)
+
+    def block(row, m):
+        # the cross term in the real part, the indicator in the imaginary part
+        x1, x2 = (bc.sample(m, row, child) for child in children)
+        near = np.abs(x1 - x2) <= r
+        return (x2 - x1) * near + 1j * near
+
+    mean, (se, _) = streams.mc_mean(n, block)
+    bound = math.sqrt(2.0 * bc.variance()) * math.sqrt(mean.imag)
+    return mean.real, se, bound

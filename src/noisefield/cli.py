@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bernoulli as bc_mod
 from . import ifs as ifs_mod
-from . import kernels, noise, sigma
+from . import kernels, noise, sigma, streams
 from .measures import (
     AtomicMeasure,
     BernoulliMeasure,
@@ -214,9 +214,9 @@ def cmd_ito_isometry(args):
     mu = parse_measure(args.measure)
     coeffs = parse_poly(args.poly)
     field = noise.GaussianNoiseField(mu, J=args.J)
-    vals = field.ito_samples(_poly_fn(coeffs), args.N, args.seed)
-    est = float(vals.var())
-    se = est * np.sqrt(2.0 / args.N)
+    forms = streams.linear_forms(args.seed, field.ito_coefficients(_poly_fn(coeffs)))
+    mean, (se, _) = streams.mc_mean(args.N, lambda row, m: forms(row, m)[:, 0] ** 2)
+    est = mean.real
     target, _ = mu.integrate(_poly_fn(np.polynomial.polynomial.polymul(coeffs, coeffs)))
     desc = _descriptor(args, measure=mu.to_descriptor(), poly=coeffs, J=field.J)
     _emit(args, desc, ["variance", "stderr", "target"], [[est, se, float(target)]])

@@ -163,6 +163,10 @@ def test_fbm_variance_table(tmp_path):
      "--N", "2000", "--seed", "11", "--J", "64"],
     ["sample-path", "--measure", "lebesgue:0,1", "--A", "0,0.6", "--N", "300", "--J", "32",
      "--seed", "3"],
+    ["ito-isometry", "--measure", "lebesgue:0,1", "--poly", "0,1", "--N", "9000", "--J", "64",
+     "--seed", "5"],
+    ["fourier-isometry", "--measure", "lebesgue:0,2", "--sets", "0,1|1,2", "--coeffs", "1,-1",
+     "--N", "9000", "--J", "64", "--seed", "17"],
 ])
 def test_artifacts_identical_for_every_worker_count(tmp_path, argv):
     outputs = []

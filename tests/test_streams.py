@@ -17,6 +17,7 @@ from noisefield import (
     noise,
     streams,
 )
+from noisefield.cli import main as cli_main
 from noisefield.sigma import SigmaFunction, SigmaLift, correlated_pair
 
 
@@ -165,6 +166,51 @@ def test_covariance_reduction_sums_8192_row_blocks_in_order():
 
         expected = merged_reduction(grid_blocks(n, products), n)
         assert FIELD.covariance_mc(A, B, n, stream) == expected
+
+
+def test_ito_isometry_cli_reduces_squares_on_the_8192_row_grid(tmp_path):
+    # The CLI value is E[W^2] over the grid blocks of the emitted samples W.
+    n = 3 * 8192 + 5
+    out = tmp_path / "ito.csv"
+    argv = ["ito-isometry", "--measure", "lebesgue:0,1", "--poly", "0,1", "--N", str(n),
+            "--J", "64", "--seed", "5", "--out", str(out)]
+    assert cli_main(argv) == 0
+    est, se, _target = map(float, out.read_text().splitlines()[-1].split(","))
+    W = FIELD.ito_samples(lambda x: x, n, 5)
+    assert (est, se) == merged_reduction(grid_blocks(n, lambda a, m: W[a : a + m] ** 2), n)
+
+
+def test_cross_term_reduces_on_the_8192_row_grid():
+    n, r = 3 * 8192 + 5, 0.3
+    bc = bernoulli.BernoulliConvolution(0.6, stream_id=37)
+    x1, x2 = (bc.sample(n, 0, streams.child_stream(37, tag)) for tag in (0, 1))
+    near = np.abs(x1 - x2) <= r
+    est, se = merged_reduction(grid_blocks(n, lambda a, m: ((x2 - x1) * near)[a : a + m]), n)
+    p_near = sum(b.sum() for b in grid_blocks(n, lambda a, m: near[a : a + m] * 1.0)) / n
+    bound = math.sqrt(2.0 * bc.variance()) * math.sqrt(p_near)
+    assert bernoulli.cross_term_bound_mc(bc, r, n) == (est, se, bound)
+
+
+def test_linear_forms_draw_exactly_the_union_of_nonzero_columns(monkeypatch):
+    drawn = []
+    original = streams.normal_matrix_at
+
+    def recording(stream_id, n, indices, first=0):
+        drawn.append(np.asarray(indices).tolist())
+        return original(stream_id, n, indices, first)
+
+    monkeypatch.setattr(streams, "normal_matrix_at", recording)
+    C = np.zeros((3, 40), dtype=complex)
+    C[0, [2, 9]] = [0.5, -1.0]
+    C[1, [9, 31]] = [2.0j, 0.25]
+    C[2, 0] = 1.0
+    W = streams.linear_forms(4, C)(10, 300)
+    assert drawn and all(cols == [0, 2, 9, 31] for cols in drawn)
+    xi = original(4, 300, np.arange(40), 10)
+    assert np.allclose(W, xi @ C.T, rtol=1e-14, atol=1e-14)
+    drawn.clear()
+    assert np.array_equal(streams.linear_forms(4, np.zeros((2, 40)))(0, 5), np.zeros((5, 2)))
+    assert drawn == [[]]
 
 
 @pytest.mark.parametrize("n", [3 * 8192 + 5, 100_000])
