@@ -316,8 +316,14 @@ class IFSInvariantMeasure(SigmaFiniteMeasure):
             )
         return None
 
+    def _word(self, A: BorelSet):
+        """A's cylinder word, once A's intervals are checked to be that cylinder."""
+        if A.word is not None and A.intervals != (self.ifs.cylinder_interval(A.word),):
+            raise ValueError(f"set intervals {A.intervals} are not the cylinder of word {A.word}")
+        return A.word
+
     def measure_of(self, A: BorelSet) -> float:
-        if A.word is not None:
+        if self._word(A) is not None:
             return float(self.ifs.cylinder_mass(A.word))
         ends = self.ifs.cdf(np.ravel(self._clipped(A).intervals))
         return float(sum(ends[1::2] - ends[0::2]))
@@ -370,7 +376,7 @@ class IFSInvariantMeasure(SigmaFiniteMeasure):
         coeffs = list(coeffs)
         if A is None:
             return _poly_moment_value(self.ifs, coeffs), 0.0
-        if A.word is not None:
+        if self._word(A) is not None:
             # exact: restrict to the cylinder by composing the word into the polynomial
             exact = all(
                 isinstance(v, (int, Fraction))

@@ -146,6 +146,21 @@ def test_plain_cylinder_intervals_get_product_masses(name):
             assert np.array_equal(mu.cell_masses(plain, depth), expected), (word, depth)
 
 
+def test_set_word_must_name_the_cylinder_of_its_intervals():
+    # on the three-fraction system, the word (2,) on the intervals of branch 0
+    # would give the mass of branch 2 (1/6) and its integral (206/1395)
+    ifs = SYSTEMS["three-fraction"]
+    mu = IFSInvariantMeasure(ifs)
+    forged = BorelSet(ifs.cylinder_set((0,)).intervals, word=(2,))
+    with pytest.raises(ValueError, match="not the cylinder"):
+        mu.measure_of(forged)
+    with pytest.raises(ValueError, match="not the cylinder"):
+        mu.integrate([0, 1], forged)
+    honest = ifs.cylinder_set((0,))
+    assert mu.measure_of(honest) == 1 / 3
+    assert mu.integrate([0, 1], honest) == (Fraction(8, 279), 0.0)
+
+
 def test_cantor_cylinder_polynomial_integral_is_exact():
     mu = cantor_measure()
     cyl = mu.ifs.cylinder_set((0,))
