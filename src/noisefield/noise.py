@@ -178,22 +178,19 @@ def moment_identity_target(j: int, k: int, c) -> float:
     return (delta - c[j] * c[k]) * math.exp(-0.5 * float(c @ c))
 
 
+def _coordinate_chunks(seed, n: int):
+    """Coordinates 0 .. n-1 of one sample point, in chunks of 2^20."""
+    for start in range(0, n, 1 << 20):
+        yield streams.normals(seed, min(1 << 20, n - start), offset=start)
+
+
 def ell2_escape_ratio(seed, n: int) -> float:
     """S_n / n for S_n = sum of squared coordinates; near 1 when coordinates escape l2."""
-    total = 0.0
-    for start in range(0, n, 1 << 20):
-        m = min(1 << 20, n - start)
-        z = streams.normals(seed, m, offset=start)
-        total += float(z @ z)
-    return total / n
+    return sum(float(z @ z) for z in _coordinate_chunks(seed, n)) / n
 
 
 def max_coordinate(seed, n: int) -> float:
-    worst = 0.0
-    for start in range(0, n, 1 << 20):
-        m = min(1 << 20, n - start)
-        worst = max(worst, float(np.abs(streams.normals(seed, m, offset=start)).max()))
-    return worst
+    return max((float(np.abs(z).max()) for z in _coordinate_chunks(seed, n)), default=0.0)
 
 
 class CoordinateFactorMap:

@@ -402,6 +402,14 @@ def test_ell2_escape_proxy_and_growth_bound():
 # -- spectral variance --------------------------------------------------------------------
 
 
+def test_coordinate_walks_cross_the_chunk_boundary_exactly():
+    # both walks read the sample point in chunks of 2^20 coordinates
+    n = (1 << 20) + 17
+    head, tail = streams.normals(5, 1 << 20), streams.normals(5, 17, offset=1 << 20)
+    assert ell2_escape_ratio(5, n) == (float(head @ head) + float(tail @ tail)) / n
+    assert max_coordinate(5, n) == float(np.abs(np.concatenate([head, tail])).max())
+
+
 def test_fbm_brownian_case_is_linear():
     assert fbm_increment_variance(0.5, 2.0) == pytest.approx(2.0, abs=1e-6)
 
