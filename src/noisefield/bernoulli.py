@@ -172,11 +172,10 @@ def cross_term_bound_mc(bc: BernoulliConvolution, r: float, n: int, stream_id=No
     bound = sqrt(2 Var X) * sqrt(P(|X - X'| <= r)).
     """
     sid = bc.stream_id if stream_id is None else stream_id
-    children = streams.child_stream(sid, 0), streams.child_stream(sid, 1)
 
     def block(row, m):
         # the cross term in the real part, the indicator in the imaginary part
-        x1, x2 = (bc.sample(m, row, child) for child in children)
+        x1, x2 = (bc.sample(m, row, streams.child_stream(sid, tag)) for tag in (0, 1))
         near = np.abs(x1 - x2) <= r
         return (x2 - x1) * near + 1j * near
 

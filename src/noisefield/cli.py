@@ -216,10 +216,9 @@ def cmd_ito_isometry(args):
     field = noise.GaussianNoiseField(mu, J=args.J)
     forms = streams.linear_forms(args.seed, field.ito_coefficients(_poly_fn(coeffs)))
     mean, (se, _) = streams.mc_mean(args.N, lambda row, m: forms(row, m)[:, 0] ** 2)
-    est = mean.real
     target, _ = mu.integrate(_poly_fn(np.polynomial.polynomial.polymul(coeffs, coeffs)))
     desc = _descriptor(args, measure=mu.to_descriptor(), poly=coeffs, J=field.J)
-    _emit(args, desc, ["variance", "stderr", "target"], [[est, se, float(target)]])
+    _emit(args, desc, ["variance", "stderr", "target"], [[mean.real, se, float(target)]])
 
 
 def cmd_sigma_inner(args):

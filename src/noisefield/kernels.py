@@ -234,13 +234,10 @@ def boundary_process_cov(kernel: PositiveDefiniteKernel, s, t, J: int, n: int, s
     """Monte Carlo E[X_s* X_t] over the Gaussian coordinate law, with stderr."""
     if n < 1000:
         raise ValueError("need at least 1000 samples")
-    forms = streams.linear_forms(stream_id, np.conj(kernel.feature_block([s, t], J)))
-
-    def values(row, m):
-        W = forms(row, m)
-        return np.conj(W[:, 0]) * W[:, 1]
-
-    est, se = streams.mc_mean(n, values)
+    fs, ft = kernel.feature_block([s, t], J)
+    # X_s* = <xi, phi(s)> and X_t = <xi, phi(t)*>
+    forms = streams.linear_forms(stream_id, [fs, np.conj(ft)])
+    est, se = streams.mc_mean(n, lambda row, m: np.prod(forms(row, m), axis=1))
     if not kernel.is_complex:
         est = est.real
     return est, se

@@ -159,9 +159,8 @@ def characteristic_functional_target(c) -> float:
 
 def moment_identity_mc(j: int, k: int, c, n: int, stream_id):
     """Monte Carlo E[xi_j xi_k exp(i <xi, c>)] with standard errors."""
-    C = np.zeros((3, len(c)))
-    C[0, j] = C[1, k] = 1.0
-    C[2] = c
+    C = np.vstack([np.zeros((2, len(c))), c])  # the forms xi_j, xi_k and <xi, c>
+    C[[0, 1], [j, k]] = 1.0
     forms = streams.linear_forms(stream_id, C)
 
     def values(row, m):

@@ -12,29 +12,25 @@ Standard normals are produced by inverting the normal CDF (``ndtri``) on the
 53-bit uniform; the inversion is fixed across platforms.
 
 Sample row ``n`` of a stream is the per-sample substream ``substream(s, n)``.
-Samplers walk sample rows on one grid of ``_BLOCK_ROWS`` (2^13) rows, through
-a ``block(row, m)`` callable that returns the values of m rows.  Emitted
-samples (``emit_rows``) reduce each row on its own, so they do not depend on
-the grid.  The Monte Carlo reducer (``mc_mean``) adds per-block results in
-block order, so for it the 2^13-row grid is part of the replay contract.
-
-Every Gaussian functional here is a function of finitely many linear forms
-<c, xi> of the coordinates.  ``linear_forms`` is the one block that computes
-them: given a (k, J) coefficient array it draws only the union of the forms'
-nonzero columns (a coordinate with a zero coefficient in every form is never
-drawn; skipping it is exact, since every coordinate is addressed by its
-index) and reduces each form with ``row_dot``.  ``linear_samples`` is its
-k = 1 case, emitted.
+Samplers walk sample rows on one grid of ``_BLOCK_ROWS`` (2^13) rows through
+a ``block(row, m)`` that returns the values of m rows, each reduced on its
+own, so emitted samples (``emit_rows``) do not depend on the grid.
+``mc_mean`` merges per-block (count, mean, M2) pairwise in block order (Chan,
+Golub & LeVeque 1983), so for it the grid is part of the replay contract.
+Every Gaussian functional is a function of finitely many linear forms <c, xi>:
+``linear_forms`` computes them from a (k, J) coefficient array and draws only
+the union of the forms' nonzero columns, which is exact because every
+coordinate is addressed by its index.
 
 Words are generated by one kernel, ``_fill``, which walks its output in tiles
 of about ``_TILE_WORDS`` (2^15) words, so that the word buffer stays in the
 L2 cache: it hashes a tile into a reused ``uint64`` buffer, runs the
 finalizer in place and writes the tile's uniforms, normals or signs straight
-into the output.  ``linear_forms`` likewise walks each grid block tile by
-tile.  The tile is not part of the replay contract: every value is a pure
-function of its coordinate and every reduction runs row by row, so no tile
-size changes a byte.  Tile buffers belong to one call, so concurrent calls
-share nothing.
+into the output.  ``linear_forms`` walks each grid block in such tiles too.
+The tile is not part of the replay contract: every value is a pure function
+of its coordinate and every reduction runs row by row, so no tile size
+changes a byte.  Tile buffers belong to one call, so concurrent calls share
+nothing.
 """
 
 from __future__ import annotations
@@ -225,31 +221,25 @@ def emit_rows(out, first, block):
     return out
 
 
-def _by_tiles(row, m, width, tile) -> np.ndarray:
-    """``tile(r, t)`` over the tiles of sample rows ``row .. row + m - 1``, concatenated.
-
-    A tile holds about ``_TILE_WORDS`` words of ``width`` coordinates each.
-    """
-    step = max(1, _TILE_WORDS // max(width, 1))
-    return np.concatenate([tile(r, min(step, row + m - r)) for r in range(row, row + m, step)])
-
-
 def linear_forms(stream_id, coeffs):
     """``block(row, m)``: the (m, k) forms W = xi C^T of sample rows ``row .. row + m - 1``.
 
-    ``coeffs`` is a (k, J) array C, real or complex, one form per row.  Only
-    the union of the forms' nonzero columns is drawn, tile by tile, and each
-    form is reduced with ``row_dot``, so W does not depend on the block size.
+    ``coeffs`` is a (k, J) array C, real or complex.  The nonzero columns are
+    drawn in tiles of about ``_TILE_WORDS`` words and each form is reduced
+    with ``row_dot``, so W depends on neither the block nor the tile size.
     """
     C = np.atleast_2d(coeffs)
     idx = np.flatnonzero(np.any(C != 0, axis=0))
     C = C[:, idx]
 
-    def tile(row, t):
-        xi = normal_matrix_at(stream_id, t, idx, row)
-        return np.column_stack([row_dot(xi, c) for c in C])
+    step = max(1, _TILE_WORDS // max(len(idx), 1))
 
-    return lambda row, m: _by_tiles(row, m, len(idx), tile)
+    def block(row, m):
+        tiles = (normal_matrix_at(stream_id, min(step, row + m - r), idx, r)
+                 for r in range(row, row + m, step))
+        return np.concatenate([np.column_stack([row_dot(xi, c) for c in C]) for xi in tiles])
+
+    return block
 
 
 def linear_samples(stream_id, n, coeffs, first=0) -> np.ndarray:
@@ -262,17 +252,14 @@ def mc_mean(n, block):
     """Monte Carlo mean over sample rows 0 .. n-1, with standard errors.
 
     ``block(row, m)`` returns the m real or complex values of the sample rows
-    starting at ``row``, computed row by row as for ``emit_rows``.  Blocks are
-    reduced in block order on the grid: the mean is the sum of the block sums
-    over n, and each block's sum of squared deviations from its own mean is
-    merged pairwise into the running one (Chan, Golub & LeVeque 1983), so the
-    variance does not cancel when the mean is large against the spread.
+    starting at ``row``, row by row.  The mean is the sum of block sums over n;
+    each block's squared deviations from its own mean are merged pairwise in
+    block order, so the variance does not cancel under a large mean.
     Returns (complex mean, (se_real, se_imag)).
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    total = np.zeros(2)
-    m2 = np.zeros(2)
+    total, m2 = np.zeros(2), np.zeros(2)
     for start in range(0, n, _BLOCK_ROWS):
         m = min(_BLOCK_ROWS, n - start)
         vals = block(start, m)
