@@ -2,8 +2,12 @@
 
 None of the CLI goldens reach ``ifs.cdf``, so this file pins the SHA-256 of
 the CDF, cell masses, set masses, canonical grids, cell-sum integrals, Walsh
-coefficients and evaluations, the Legendre, Walsh, atomic and transformed
-grams, and ``psi_map``.  A refactor keeps every digest.  A deliberate change
+coefficients and evaluations, the Legendre, Walsh, atomic, transformed,
+composite, piecewise and mixed grams, the evaluation blocks of the atomic,
+composite and piecewise bases, the indicator coefficients of the weighted
+Legendre, transformed and composite bases, the inner coefficients of the
+composite basis and of a simple function, and ``psi_map``.  A refactor keeps
+every digest.  A deliberate change
 of values regenerates tests/data/coeff_goldens.sha256 with
 
     PYTHONPATH=src python tests/test_coeff_goldens.py > tests/data/coeff_goldens.sha256
@@ -26,6 +30,9 @@ from noisefield import (
     GaussianNoiseField,
     IFSInvariantMeasure,
     LebesgueMeasure,
+    MixedBasis,
+    PiecewiseBasis,
+    SimpleFunction,
     SineBasis,
     TransformedBasis,
     WalshBasis,
@@ -34,6 +41,7 @@ from noisefield import (
     make_basis,
     make_ifs,
     sample_xi,
+    sum_measure,
 )
 from noisefield.ifs import bernoulli_system
 
@@ -100,10 +108,51 @@ def outputs() -> dict:
         LebesgueMeasure(0, 1),
     )
     out["transformed_gram"] = moved.gram(24)
+    out.update(_wrapper_outputs(moved))
     cantor = IFSInvariantMeasure(cantor_system())
     out["walsh_psi_map"] = GaussianNoiseField(cantor, J=64).psi_map(sample_xi(7, 64))
     sine = GaussianNoiseField(LebesgueMeasure(0, 1), basis=SineBasis(), J=16)
     out["sine_psi_map"] = sine.psi_map(sample_xi(7, 16))
+    return out
+
+
+def _wrapper_outputs(moved) -> dict:
+    xs = np.concatenate([np.linspace(-0.1, 1.1, 61), [0.1, 0.25, 0.4, 0.5, 0.7, 0.9, 1.0]])
+    A = BorelSet(((0.1, 0.3), (0.45, 0.77)))
+    simple = SimpleFunction(((2.0, BorelSet.interval(0.1, 0.4)), (-1.0, BorelSet.interval(0.5, 0.9))))
+    weighted = make_basis(DensityMeasure(-1, 2, [1.0, 0.5, 0.25]))
+    atomic = AtomicBasis(AtomicMeasure([(0.1, 0.5), (0.4, 1.5), (0.9, 0.25)]))
+    composites = {
+        "poly_atoms": make_basis(
+            sum_measure(DensityMeasure(0, 1, [1.0, 0.5, 0.25]), AtomicMeasure([(0.25, 0.5), (0.7, 1.25)])),
+            J=20,
+        ),
+        "lebesgue_atom": make_basis(sum_measure(LebesgueMeasure(0, 1), AtomicMeasure([(0.5, 2.0)])), J=17),
+    }
+    edges = [0.0, 0.25, 0.5, 0.8, 1.0]
+    piecewise = {
+        "lebesgue": PiecewiseBasis(LebesgueMeasure(0, 1), edges, per_piece=6),
+        "density": PiecewiseBasis(
+            DensityMeasure(0, 1, lambda x: 1.0 + 2.0 * np.asarray(x, dtype=float)), edges, per_piece=6
+        ),
+    }
+    v = np.arange(1.0, 6.0)
+    householder = np.eye(5) - 2.0 * np.outer(v, v) / (v @ v)
+    out = {
+        "legendre_gs_indicator": weighted.indicator_coefficients(A, 16),
+        "legendre_simple_inner": make_basis(LebesgueMeasure(0, 1)).inner_coefficients(simple, 16),
+        "transformed_indicator": moved.indicator_coefficients(A, 24),
+        "atomic_evaluate_block": atomic.evaluate_block(xs, 3),
+        "mixed_gram": MixedBasis(make_basis(LebesgueMeasure(0, 1)), householder).gram(12),
+    }
+    for name, basis in composites.items():
+        out[f"composite_{name}_gram"] = basis.gram(basis.size)
+        out[f"composite_{name}_evaluate_block"] = basis.evaluate_block(xs, basis.size)
+        out[f"composite_{name}_indicator"] = basis.indicator_coefficients(A, basis.size)
+        out[f"composite_{name}_inner"] = basis.inner_coefficients(np.cos, basis.size)
+    for name, basis in piecewise.items():
+        out[f"piecewise_{name}_gram"] = basis.gram(basis.size)
+        out[f"piecewise_{name}_evaluate_block"] = basis.evaluate_block(xs, basis.size)
     return out
 
 
