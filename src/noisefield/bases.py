@@ -25,6 +25,15 @@ piecewise-constant functions), transformed (an ONB of L2(mu) carried to
 L2(lambda) by multiplying with sqrt(d mu/d lambda)), and finite orthogonal
 mixes of the leading functions.
 
+Evaluation: ``evaluate_block(xs, J)``, the (len(xs), J) values of the first
+J functions, is the one evaluation every basis defines; ``evaluate(j, x)`` is
+its column j.  Coefficient rules shared by several kinds live once on
+``OrthonormalBasis``: a ``SimpleFunction`` pairs through its terms'
+indicator coefficients (Legendre and Walsh), and indicator coefficients by
+Gauss quadrature against the density serve weighted Legendre and transformed
+bases.  The composite basis splits its block, indicator and inner
+coefficients in one place, density block first, then atom block.
+
 Grams: every kind but the sine family pairs its functions in one place,
 ``OrthonormalBasis.gram``, over the points and weights of its
 ``_pairing_rule`` (Gauss rules times the density, atoms and their masses,
@@ -71,11 +80,12 @@ class OrthonormalBasis:
         return None
 
     def evaluate(self, j, x):
-        raise NotImplementedError
+        """phi_j at the points x: column j of ``evaluate_block``."""
+        return self.evaluate_block(x, j + 1)[:, j]
 
     def evaluate_block(self, xs, J) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return np.column_stack([np.asarray(self.evaluate(j, xs), dtype=float) for j in range(J)])
+        """(len(xs), J) array of phi_j(x) for j < J, the one evaluation a basis defines."""
+        raise NotImplementedError
 
     def indicator_coefficients(self, A: BorelSet, J) -> np.ndarray:
         raise NotImplementedError
@@ -83,6 +93,22 @@ class OrthonormalBasis:
     def inner_coefficients(self, f, J) -> np.ndarray:
         """<phi_j, f> in L2(mu) for j < J."""
         raise NotImplementedError
+
+    def _simple_coefficients(self, f: SimpleFunction, J) -> np.ndarray:
+        """<phi_j, f> for a simple function: its terms' indicator coefficients, weighted."""
+        out = np.zeros(J)
+        for a_i, s_i in f.terms:
+            out += a_i * self.indicator_coefficients(s_i, J)
+        return out
+
+    def _density_indicator(self, A: BorelSet, J, nodes) -> np.ndarray:
+        """<phi_j, 1_A> by a ``nodes``-point Gauss rule times the density on each piece of A."""
+        out = np.zeros(J)
+        dens = self.measure.density_fn()
+        for lo, hi in A.clip(*self.measure.support_hull()).intervals:
+            xq, wq = quadrature.nodes_weights(lo, hi, nodes)
+            out += (self.evaluate_block(xq, J).T * np.asarray(dens(xq), dtype=float)) @ wq
+        return out
 
     def _pair(self, f, J) -> np.ndarray:
         """<phi_j, f> for j < J, summed over the pairing rule that ``gram`` uses."""
@@ -182,9 +208,6 @@ class LegendreBasis(OrthonormalBasis):
 
     # -- public surface -------------------------------------------------------
 
-    def evaluate(self, j, x):
-        return self.evaluate_block(x, j + 1)[:, j]
-
     def evaluate_block(self, xs, J):
         self._check_J(J)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -198,20 +221,12 @@ class LegendreBasis(OrthonormalBasis):
         self._check_J(J)
         if self._const_weight is not None:
             return self._const_indicator(A, J)
-        out = np.zeros(J)
-        dens = self.measure.density_fn()
-        for lo, hi in A.clip(self.a, self.b).intervals:
-            xq, wq = quadrature.nodes_weights(lo, hi, self._quad_nodes)
-            out += (self.evaluate_block(xq, J).T * np.asarray(dens(xq), dtype=float)) @ wq
-        return out
+        return self._density_indicator(A, J, self._quad_nodes)
 
     def inner_coefficients(self, f, J):
         self._check_J(J)
         if isinstance(f, SimpleFunction):
-            out = np.zeros(J)
-            for a_i, s_i in f.terms:
-                out += a_i * self.indicator_coefficients(s_i, J)
-            return out
+            return self._simple_coefficients(f, J)
         return self._pair(f, J)
 
     def _pairing_rule(self, n):
@@ -257,9 +272,6 @@ class WalshBasis(OrthonormalBasis):
     def size(self):
         return 2**self.depth
 
-    def evaluate(self, j, x):
-        return self.evaluate_block(x, j + 1)[:, j]
-
     def evaluate_block(self, xs, J):
         self._check_J(J)
         levels = (J - 1).bit_length()
@@ -279,10 +291,7 @@ class WalshBasis(OrthonormalBasis):
     def inner_coefficients(self, f, J):
         self._check_J(J)
         if isinstance(f, SimpleFunction):
-            out = np.zeros(J)
-            for a_i, s_i in f.terms:
-                out += a_i * self.indicator_coefficients(s_i, J)
-            return out
+            return self._simple_coefficients(f, J)
         deep = self.depth + _INNER_REFINE
         lo, hi = self.ifs.hull
         vals = np.asarray(f(self.ifs.cell_images(deep, 0.5 * (lo + hi))), dtype=float)
@@ -313,12 +322,6 @@ class SineBasis(OrthonormalBasis):
         lo, hi = self.measure.support_hull()
         if abs(lo) > 1e-12 or abs(hi - 1.0) > 1e-12:
             raise ValueError("sine basis is built on the unit interval")
-
-    def evaluate(self, j, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if j == 0:
-            return x.copy()
-        return np.sqrt(2.0) * np.sin(j * np.pi * x) / (j * np.pi)
 
     def evaluate_block(self, xs, J):
         self._check_J(J)
@@ -382,12 +385,12 @@ class AtomicBasis(OrthonormalBasis):
     def size(self):
         return len(self._atoms)
 
-    def evaluate(self, j, x):
-        self._check_J(j + 1)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        m = self._atoms[j][1]
-        at_atom = AtomicMeasure(self._atoms[j : j + 1]).atom_mass_at(x) > 0
-        return np.where(at_atom, 1.0 / math.sqrt(m), 0.0)
+    def evaluate_block(self, xs, J):
+        self._check_J(J)
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        at_atom = [AtomicMeasure([atom]).atom_mass_at(xs) > 0 for atom in self._atoms[:J]]
+        scale = 1.0 / np.sqrt([m for _, m in self._atoms[:J]])
+        return np.where(np.column_stack(at_atom), scale, 0.0)
 
     def indicator_coefficients(self, A, J):
         self._check_J(J)
@@ -427,29 +430,29 @@ class CompositeBasis(OrthonormalBasis):
     def size(self):
         return self.split + self.atomic_basis.size
 
-    def evaluate(self, j, x):
-        self._check_J(j + 1)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if j < self.split:
-            vals = np.asarray(self.density_basis.evaluate(j, x), dtype=float)
-            return np.where(self.atomic_basis.measure.atom_mass_at(x) > 0, 0.0, vals)
-        return self.atomic_basis.evaluate(j - self.split, x)
+    def _split(self, J, part):
+        """``part(basis, n)`` of the density block's leading functions, then of the atom block's.
+
+        Joined along the last axis and C-ordered, so blocks multiply as
+        column-stacked ones do.
+        """
+        self._check_J(J)
+        parts = [part(self.density_basis, min(J, self.split))]
+        if J > self.split:
+            parts.append(part(self.atomic_basis, J - self.split))
+        return np.ascontiguousarray(np.concatenate(parts, axis=-1))
+
+    def evaluate_block(self, xs, J):
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        out = self._split(J, lambda basis, n: basis.evaluate_block(xs, n))
+        out[self.atomic_basis.measure.atom_mass_at(xs) > 0, : self.split] = 0.0
+        return out
 
     def indicator_coefficients(self, A, J):
-        self._check_J(J)
-        jd = min(J, self.split)
-        parts = [self.density_basis.indicator_coefficients(A, jd)]
-        if J > self.split:
-            parts.append(self.atomic_basis.indicator_coefficients(A, J - self.split))
-        return np.concatenate(parts)
+        return self._split(J, lambda basis, n: basis.indicator_coefficients(A, n))
 
     def inner_coefficients(self, f, J):
-        self._check_J(J)
-        jd = min(J, self.split)
-        parts = [self.density_basis.inner_coefficients(f, jd)]
-        if J > self.split:
-            parts.append(self.atomic_basis.inner_coefficients(f, J - self.split))
-        return np.concatenate(parts)
+        return self._split(J, lambda basis, n: basis.inner_coefficients(f, n))
 
     def _pairing_rule(self, n):
         rules = [b._pairing_rule(n) for b in (self.density_basis, self.atomic_basis)]
@@ -487,33 +490,33 @@ class PiecewiseBasis(OrthonormalBasis):
     def size(self):
         return len(self.pieces) * self.per_piece
 
-    def evaluate(self, j, x):
-        self._check_J(j + 1)
-        piece, sub = divmod(j, self.per_piece)
-        a, b = self.edges[piece], self.edges[piece + 1]
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        inside = (x > a) & (x <= b)
-        vals = np.zeros_like(x)
-        if np.any(inside):
-            vals[inside] = self.pieces[piece].evaluate(sub, x[inside])
-        return vals
+    def _piece_spans(self, J):
+        """(piece index, first index, count) of each piece's functions among the first J."""
+        self._check_J(J)
+        for start in range(0, J, self.per_piece):
+            yield start // self.per_piece, start, min(self.per_piece, J - start)
+
+    def evaluate_block(self, xs, J):
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        out = np.zeros((len(xs), J))
+        for k, start, n in self._piece_spans(J):
+            inside = (xs > self.edges[k]) & (xs <= self.edges[k + 1])
+            if np.any(inside):
+                out[inside, start : start + n] = self.pieces[k].evaluate_block(xs[inside], n)
+        return out
 
     def indicator_coefficients(self, A, J):
-        self._check_J(J)
         out = np.zeros(J)
-        for start in range(0, J, self.per_piece):
-            k, n = start // self.per_piece, min(self.per_piece, J - start)
+        for k, start, n in self._piece_spans(J):
             piece_A = A.clip(self.edges[k], self.edges[k + 1])
             if not piece_A.is_empty:
                 out[start : start + n] = self.pieces[k].indicator_coefficients(piece_A, n)
         return out
 
     def inner_coefficients(self, f, J):
-        self._check_J(J)
         out = np.zeros(J)
-        for start in range(0, J, self.per_piece):
-            n = min(self.per_piece, J - start)
-            out[start : start + n] = self.pieces[start // self.per_piece].inner_coefficients(f, n)
+        for k, start, n in self._piece_spans(J):
+            out[start : start + n] = self.pieces[k].inner_coefficients(f, n)
         return out
 
     def _pairing_rule(self, n):
@@ -542,12 +545,6 @@ class TransformedBasis(OrthonormalBasis):
     def size(self):
         return self.base.size
 
-    def evaluate(self, j, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.asarray(self.base.evaluate(j, x), dtype=float) * np.sqrt(
-            np.asarray(self.rho(x), dtype=float)
-        )
-
     def evaluate_block(self, xs, J):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         return self.base.evaluate_block(xs, J) * np.sqrt(np.asarray(self.rho(xs), dtype=float))[
@@ -555,12 +552,7 @@ class TransformedBasis(OrthonormalBasis):
         ]
 
     def indicator_coefficients(self, A, J):
-        out = np.zeros(J)
-        dens = self.measure.density_fn()
-        for lo, hi in A.clip(*self.measure.support_hull()).intervals:
-            xq, wq = quadrature.nodes_weights(lo, hi, 256)
-            out += (self.evaluate_block(xq, J).T * np.asarray(dens(xq), dtype=float)) @ wq
-        return out
+        return self._density_indicator(A, J, 256)
 
     def inner_coefficients(self, f, J):
         return self._pair(f, J)
@@ -597,14 +589,6 @@ class MixedBasis(OrthonormalBasis):
             out[:n] = self.U @ out[:n]
             return out
         return (self.U @ np.pad(out, (0, n - len(out))))[: len(vec)]
-
-    def evaluate(self, j, x):
-        n = len(self.U)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if j >= n:
-            return self.base.evaluate(j, x)
-        block = self.base.evaluate_block(x, n)
-        return block @ self.U[j]
 
     def evaluate_block(self, xs, J):
         block = self.base.evaluate_block(xs, max(J, len(self.U)))

@@ -327,6 +327,41 @@ def test_piecewise_coefficients_match_per_index_extraction(measure, tol):
         assert np.abs(basis.inner_coefficients(np.cos, J) - inner).max() <= 1e-15
 
 
+def _basis_of_each_kind():
+    lebesgue = LebesgueMeasure(0, 1)
+    atoms = AtomicMeasure([(0.1, 0.5), (0.4, 1.5), (0.9, 0.25)])
+    rotation = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+    return {
+        "legendre": make_basis(lebesgue),
+        "legendre-weighted": make_basis(DensityMeasure(0, 1, _one_plus_two_x)),
+        "walsh-cantor": WalshBasis(cantor_measure(), depth=5),
+        "sine-brownian": SineBasis(),
+        "atomic-indicators": make_basis(atoms),
+        "composite": make_basis(sum_measure(DensityMeasure(0, 1, [1.0, 0.5]), atoms), J=12),
+        "piecewise-legendre": PiecewiseBasis(
+            DensityMeasure(0, 1, _one_plus_two_x), [0.0, 0.3, 0.6, 1.0], per_piece=4
+        ),
+        "transformed": TransformedBasis(
+            make_basis(DensityMeasure(0, 1, [0.0, 2.0])), lambda x: 2.0 * np.asarray(x), lebesgue
+        ),
+        "mixed": MixedBasis(make_basis(lebesgue), rotation),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_basis_of_each_kind()))
+def test_evaluate_is_a_column_of_the_block(kind):
+    basis = _basis_of_each_kind()[kind]
+    if kind == "walsh-cantor":
+        xs = cantor_measure().canonical_grid(32)
+    else:
+        xs = np.concatenate([np.linspace(0.0, 1.0, 41), [0.1, 0.4, 0.9]])
+    J = basis.size or 12
+    block = basis.evaluate_block(xs, J)
+    assert block.shape == (len(xs), J)
+    for j in range(J):
+        assert np.array_equal(basis.evaluate(j, xs), block[:, j]), j
+
+
 def test_make_basis_rejects_bernoulli_kind():
     with pytest.raises(ValueError, match="bernoulli-convolution"):
         make_basis(BernoulliMeasure(0.7))
