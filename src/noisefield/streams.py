@@ -74,12 +74,6 @@ def bits(stream_id, indices) -> np.ndarray:
     return _finalize(state)
 
 
-def uniforms(stream_id, indices) -> np.ndarray:
-    """Uniforms in (0,1), 53 significant bits, never exactly 0 or 1."""
-    words = bits(stream_id, indices)
-    return _unit(words, np.empty(words.shape))
-
-
 def normals(stream_id, count, offset=0) -> np.ndarray:
     """``count`` standard normal coordinates starting at ``offset``."""
     idx = np.arange(offset, offset + count, dtype=np.uint64)
@@ -88,8 +82,9 @@ def normals(stream_id, count, offset=0) -> np.ndarray:
 
 def normals_at(stream_id, indices) -> np.ndarray:
     """Standard normals at an arbitrary set of coordinate indices."""
-    u = uniforms(stream_id, indices)
-    return ndtri(u, out=u)
+    idx = np.asarray(indices, dtype=np.uint64)
+    out = np.empty((1, idx.size))
+    return _fill([_stream_base(stream_id)], idx.ravel(), out, _normal).reshape(idx.shape)
 
 
 def normal_matrix(stream_id, n_samples, n_coords, first_sample=0) -> np.ndarray:
