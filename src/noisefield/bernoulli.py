@@ -117,11 +117,8 @@ def scaling_identity_residual(
     """
     lam = bc.lam
     radius = bc.support_radius
-    samples = bc.sample(n)
-    n_bins = int(round(2.0 * radius / bin_width))
-    edges = np.linspace(-radius, radius, n_bins + 1)
-    counts, _ = np.histogram(samples, bins=edges)
-    dens = counts / (len(samples) * bin_width)
+    _, dens = histogram_density(bc.sample(n), radius, bin_width)
+    n_bins = len(dens)
 
     def lookup(x):
         x = np.asarray(x, dtype=float)
