@@ -157,8 +157,15 @@ def characteristic_functional_target(c) -> float:
     return math.exp(-0.5 * float(c @ c))
 
 
+def _check_coordinates(c, *indices):
+    for j in indices:
+        if not 0 <= j < len(c):
+            raise ValueError(f"coordinate {j} is outside 0 .. {len(c) - 1}")
+
+
 def moment_identity_mc(j: int, k: int, c, n: int, stream_id):
     """Monte Carlo E[xi_j xi_k exp(i <xi, c>)] with standard errors."""
+    _check_coordinates(c, j, k)
     C = np.vstack([np.zeros((2, len(c))), c])  # the forms xi_j, xi_k and <xi, c>
     C[[0, 1], [j, k]] = 1.0
     forms = streams.linear_forms(stream_id, C)
@@ -172,6 +179,7 @@ def moment_identity_mc(j: int, k: int, c, n: int, stream_id):
 
 def moment_identity_target(j: int, k: int, c) -> float:
     """(delta_jk - c_j c_k) exp(-|c|^2/2): the product rule keeps the delta term."""
+    _check_coordinates(c, j, k)
     c = np.asarray(c, dtype=float)
     delta = 1.0 if j == k else 0.0
     return (delta - c[j] * c[k]) * math.exp(-0.5 * float(c @ c))
@@ -179,6 +187,8 @@ def moment_identity_target(j: int, k: int, c) -> float:
 
 def _coordinate_chunks(seed, n: int):
     """Coordinates 0 .. n-1 of one sample point, in chunks of 2^20."""
+    if n < 1:
+        raise ValueError("need at least one coordinate")
     for start in range(0, n, 1 << 20):
         yield streams.normals(seed, min(1 << 20, n - start), offset=start)
 
@@ -189,7 +199,7 @@ def ell2_escape_ratio(seed, n: int) -> float:
 
 
 def max_coordinate(seed, n: int) -> float:
-    return max((float(np.abs(z).max()) for z in _coordinate_chunks(seed, n)), default=0.0)
+    return max((float(np.abs(z).max()) for z in _coordinate_chunks(seed, n)), )
 
 
 class CoordinateFactorMap:

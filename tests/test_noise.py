@@ -399,6 +399,25 @@ def test_ell2_escape_proxy_and_growth_bound():
     assert max_coordinate(77, n) <= 8.0 * (1.0 + np.log(n))
 
 
+@pytest.mark.parametrize("j,k", [(5, 0), (0, 2), (-1, 0), (0, -3)])
+def test_moment_identity_rejects_coordinates_outside_c(j, k):
+    c = [0.1, 0.2]
+    bad = j if not 0 <= j < len(c) else k
+    for functional in (
+        lambda: moment_identity_mc(j, k, c, 100, 1),
+        lambda: moment_identity_target(j, k, c),
+    ):
+        with pytest.raises(ValueError, match=f"coordinate {bad} "):
+            functional()
+
+
+@pytest.mark.parametrize("walk", [ell2_escape_ratio, max_coordinate])
+@pytest.mark.parametrize("n", [0, -4])
+def test_coordinate_walks_need_a_coordinate(walk, n):
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        walk(7, n)
+
+
 # -- spectral variance --------------------------------------------------------------------
 
 
