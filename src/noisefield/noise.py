@@ -199,7 +199,7 @@ def ell2_escape_ratio(seed, n: int) -> float:
 
 
 def max_coordinate(seed, n: int) -> float:
-    return max((float(np.abs(z).max()) for z in _coordinate_chunks(seed, n)), )
+    return max((float(np.abs(z).max()) for z in _coordinate_chunks(seed, n)))
 
 
 class CoordinateFactorMap:
