@@ -19,6 +19,13 @@ Kinds and their exactness:
   Lebesgue noise through increments of the associated path process.
 * ``atomic-indicators`` -- normalized indicators of atoms.
 
+Density plus atoms: ``regular_basis`` is the one rule for the basis of a
+measure's density and atom parts, used by ``make_basis`` (after it rejects
+singular parts) and by ``sigma.SigmaLift``.  Its Legendre block lives on the
+hull of the parts that carry the density, not on the whole support, so an
+atom beyond the density's interval leaves the block well conditioned; atoms
+add an atom block, and both together make a composite basis.
+
 Wrappers: composite (density block plus atom block), piecewise (independent
 sub-bases on an interval partition, which diagonalize multiplication by
 piecewise-constant functions), transformed (an ONB of L2(mu) carried to
@@ -611,8 +618,6 @@ class MixedBasis(OrthonormalBasis):
 
 def make_basis(measure: SigmaFiniteMeasure, J: int | None = None) -> OrthonormalBasis:
     """Basis for the measure's kind; J is the intended index bound."""
-    if isinstance(measure, AtomicMeasure):
-        return AtomicBasis(measure)
     if isinstance(measure, BernoulliMeasure):
         raise ValueError(
             "no orthonormal basis for kind 'bernoulli-convolution': "
@@ -621,26 +626,39 @@ def make_basis(measure: SigmaFiniteMeasure, J: int | None = None) -> Orthonormal
     if isinstance(measure, IFSInvariantMeasure):
         depth = 10 if J is None else max(1, int(math.ceil(math.log2(max(J, 2)))))
         return WalshBasis(measure, depth=depth)
-    if isinstance(measure, (LebesgueMeasure, DensityMeasure)):
-        return LegendreBasis(measure)
-    if isinstance(measure, SumMeasure):
-        dens = measure.density_fn()
-        atoms = measure.atoms()
+    if isinstance(measure, (LebesgueMeasure, DensityMeasure, AtomicMeasure, SumMeasure)):
         if measure.singular_parts():
             raise ValueError("no basis for sums holding singular components")
-        if dens is not None and atoms:
-            lo, hi = measure.support_hull()
-            split = DEFAULT_J["legendre"] if J is None else max(J - len(atoms), 1)
-            density_measure = _density_component(dens, lo, hi)
-            return CompositeBasis(
-                measure, LegendreBasis(density_measure), AtomicBasis(AtomicMeasure(atoms)), split
-            )
-        if dens is not None:
-            lo, hi = measure.support_hull()
-            return LegendreBasis(_density_component(dens, lo, hi))
-        if atoms:
-            return AtomicBasis(AtomicMeasure(atoms))
+        return regular_basis(measure, J)
     raise ValueError(f"no basis construction for measure kind {measure.kind!r}")
+
+
+def regular_basis(measure: SigmaFiniteMeasure, J: int | None = None) -> OrthonormalBasis:
+    """Basis of the measure's density and atom parts; singular parts are not read.
+
+    A Legendre block on the hull of the parts that carry the density, an atom
+    block, and a composite of the two, density block first, when there are
+    both; J is the intended index bound of the whole basis.
+    """
+    dens, atoms = measure.density_fn(), measure.atoms()
+    if dens is None:
+        return AtomicBasis(AtomicMeasure(atoms))
+    if isinstance(measure, (LebesgueMeasure, DensityMeasure)):
+        density_basis = LegendreBasis(measure)
+    else:
+        density_basis = LegendreBasis(_density_component(dens, *_density_hull(measure)))
+    if not atoms:
+        return density_basis
+    split = DEFAULT_J["legendre"] if J is None else max(J - len(atoms), 1)
+    return CompositeBasis(measure, density_basis, AtomicBasis(AtomicMeasure(atoms)), split)
+
+
+def _density_hull(measure):
+    """Support hull of the parts of the measure that carry its density."""
+    if not isinstance(measure, SumMeasure):
+        return measure.support_hull()
+    hulls = [_density_hull(m) for m in measure.components if m.density_fn() is not None]
+    return min(h[0] for h in hulls), max(h[1] for h in hulls)
 
 
 def _density_component(dens, lo, hi) -> DensityMeasure:

@@ -11,7 +11,9 @@ what the Radon-Nikodym and sigma-function machinery works with.
 This module owns that decomposition: ``atom_mass_at`` is the one
 atom-matching rule (``_ATOM_TOL``), ``SumMeasure`` merges atoms and singular
 bases, and ``_radon_nikodym`` is the one d(mu)/d(lam), a vectorized callable
-that ``radon_nikodym_on_grid`` and ``sigma`` both read.
+that ``radon_nikodym_on_grid`` and ``sigma`` both read.  Its atom-and-density
+part, ``_regular_derivative``, is readable alone, without the singular-parts
+check: ``sigma.SigmaLift`` expands through it.
 
 Exactness: interval masses are closed-form for Lebesgue, polynomial
 densities, atomic measures, and IFS invariant measures (branch-descent CDF);
@@ -614,10 +616,6 @@ def _radon_nikodym(mu, lam):
     purely singular pairs must be multiples of one base measure (e.g. a
     measure against its own sum), in which case the derivative is the
     constant scale ratio; any other singular content raises here.
-
-    The callable raises when absolute continuity visibly fails at its points:
-    an atom of mu that lam does not carry, or positive mu-density where lam
-    has none.
     """
     mu_sing, lam_sing = mu.singular_parts(), lam.singular_parts()
     if mu_sing or lam_sing:
@@ -631,6 +629,16 @@ def _radon_nikodym(mu, lam):
             )
         ratio = mu_sing[0][1] / lam_sing[0][1]
         return lambda x: np.full(np.shape(x), ratio)
+    return _regular_derivative(mu, lam)
+
+
+def _regular_derivative(mu, lam):
+    """d(mu)/d(lam) of the atom and density parts, singular parts unread; nan where lam vanishes.
+
+    The callable raises when absolute continuity visibly fails at its points:
+    an atom of mu that lam does not carry, or positive mu-density where lam
+    has none.
+    """
     w_mu, w_lam = mu.density_fn(), lam.density_fn()
 
     def rn(x):

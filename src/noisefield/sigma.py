@@ -14,12 +14,15 @@ Almost-everywhere statements are decided on a canonical grid (default 2048
 points, attractor anchors for singular kinds) plus every atom.
 
 ``SigmaLift`` realizes the classes of a finite family of measures as centered
-Gaussian variables on the shared coordinate space: one orthonormal block for
-the absolutely continuous plus atomic part of the family's dominating sum,
-and one coordinate block for each distinct singular base; the atoms and the
-singular bases are those of the family's ``SumMeasure``.  Equivalent pairs
-receive identical coefficient sequences, hence identical lifts per sample
-point at any truncation.
+Gaussian variables on the shared coordinate space.  The family's dominating
+sum lam gets one regular block, built by the ``bases`` rule for a measure's
+density and atoms (``bases.regular_basis``), and one Walsh block for each
+distinct singular base.  A class's regular coefficients are that basis's
+inner coefficients of its representative over lam, x -> f(x) sqrt(d mu/d
+lam)(x), so on a one-measure family without singular part the lift is the
+Ito map of ``noise.GaussianNoiseField``.  Equivalent pairs receive identical
+coefficient sequences, hence identical lifts per sample point at any
+truncation.
 """
 
 from __future__ import annotations
@@ -29,20 +32,19 @@ import math
 
 import numpy as np
 
-from . import streams
-from .bases import AtomicBasis, LegendreBasis, PiecewiseBasis, WalshBasis
+from . import quadrature, streams
+from .bases import PiecewiseBasis, WalshBasis, regular_basis
 from .measures import (
-    AtomicMeasure,
-    DensityMeasure,
     SigmaFiniteMeasure,
     _radon_nikodym,
+    _regular_derivative,
     _same_singular,
     sum_measure,
 )
 from .sets import BorelSet
-from . import quadrature
 
 _EQUIV_TOL = 1e-9
+_WALSH_DEPTH = 10  # each singular base's Walsh block has 2**_WALSH_DEPTH functions
 
 
 class SigmaFunction:
@@ -105,41 +107,35 @@ def inner_product(F1: SigmaFunction, F2: SigmaFunction) -> float:
     return total
 
 
-def _rn_or_zero(mu, lam):
-    """d mu / d lam on points, read as 0 where lam vanishes."""
-    rn = _radon_nikodym(mu, lam)
-    return lambda x: np.nan_to_num(rn(x), nan=0.0, posinf=np.inf, neginf=-np.inf)
+def _representative(F: SigmaFunction, lam, derivative=_radon_nikodym):
+    """x -> f(x) sqrt(d mu/d lam)(x), the derivative read as 0 where lam vanishes."""
+    rn = derivative(F.mu, lam)
+
+    def rep(x):
+        x = np.asarray(x, dtype=float)
+        r = np.nan_to_num(rn(x), nan=0.0, posinf=np.inf, neginf=-np.inf)
+        return np.asarray(F.f(x), dtype=float) * np.sqrt(r)
+
+    return rep
 
 
 def add(F1: SigmaFunction, F2: SigmaFunction) -> SigmaFunction:
     """Representative of the sum over the dominating measure lam = mu1 + mu2."""
     lam = sum_measure(F1.mu, F2.mu)
-    r1 = _rn_or_zero(F1.mu, lam)
-    r2 = _rn_or_zero(F2.mu, lam)
-
-    def rep(x):
-        x = np.asarray(x, dtype=float)
-        return np.asarray(F1.f(x), dtype=float) * np.sqrt(r1(x)) + np.asarray(
-            F2.f(x), dtype=float
-        ) * np.sqrt(r2(x))
-
+    g1, g2 = _representative(F1, lam), _representative(F2, lam)
     grid = np.unique(np.concatenate([F1.grid, F2.grid]))
-    return SigmaFunction(rep, lam, grid=grid)
+    return SigmaFunction(lambda x: g1(x) + g2(x), lam, grid=grid)
 
 
 def equivalence_residual(F1: SigmaFunction, F2: SigmaFunction) -> float:
     """max over the grid of |f1 sqrt(d mu1/d lam) - f2 sqrt(d mu2/d lam)|, lam = mu1 + mu2."""
     lam = sum_measure(F1.mu, F2.mu)
-    r1 = _rn_or_zero(F1.mu, lam)
-    r2 = _rn_or_zero(F2.mu, lam)
     grid = np.unique(
         np.concatenate(
             [F1.grid, F2.grid, np.asarray([x for x, _ in lam.atoms()], dtype=float)]
         )
     )
-    g1 = np.asarray(F1.f(grid), dtype=float) * np.sqrt(r1(grid))
-    g2 = np.asarray(F2.f(grid), dtype=float) * np.sqrt(r2(grid))
-    return float(np.max(np.abs(g1 - g2)))
+    return float(np.max(np.abs(_representative(F1, lam)(grid) - _representative(F2, lam)(grid))))
 
 
 def equivalent(F1: SigmaFunction, F2: SigmaFunction, tol: float = _EQUIV_TOL) -> bool:
@@ -153,68 +149,40 @@ def equivalent(F1: SigmaFunction, F2: SigmaFunction, tol: float = _EQUIV_TOL) ->
 class SigmaLift:
     """Gaussian realization of sigma-function classes over a finite measure family.
 
-    Coefficients are taken against the family's dominating sum: density and
-    atomic parts share one orthonormal block, every distinct singular base
-    gets its own Walsh block on fresh coordinates.
+    Coefficients are taken against the family's dominating sum lam: the
+    regular block is ``bases.regular_basis`` of lam's density and atom parts
+    (``J_density`` density functions, one per atom), and F's coefficients
+    there are that basis's inner coefficients of F's representative over
+    lam, x -> f(x) sqrt(d mu/d lam)(x).  Every distinct singular base gets
+    its own Walsh block on fresh coordinates.
     """
 
-    def __init__(self, measures, J_density: int = 64, walsh_depth: int = 10):
+    def __init__(self, measures, J_density: int = 64):
         self.measures = list(measures)
         if not self.measures:
             raise ValueError("need at least one measure")
-        lam = functools.reduce(sum_measure, self.measures)
-        self._atoms = lam.atoms()
-        self._blocks = []
-        offset = 0
-        dens_parts = [m for m in self.measures if m.density_fn() is not None]
-        if dens_parts:
-            lo = min(m.support_hull()[0] for m in dens_parts)
-            hi = max(m.support_hull()[1] for m in dens_parts)
-            lam_density = DensityMeasure(lo, hi, lam.density_fn())
-            basis = LegendreBasis(lam_density)
-            self._blocks.append(("density", basis, offset, J_density, lam_density))
-            offset += J_density
-        if self._atoms:
-            basis = AtomicBasis(AtomicMeasure(self._atoms))
-            self._blocks.append(("atoms", basis, offset, len(self._atoms), None))
-            offset += len(self._atoms)
-        for base, _ in lam.singular_parts():
-            inner = getattr(base, "_ifs_measure", None) or base
-            basis = WalshBasis(inner, depth=walsh_depth)
-            self._blocks.append(("singular", basis, offset, 2**walsh_depth, base))
-            offset += 2**walsh_depth
-        self.total_J = offset
+        self._lam = functools.reduce(sum_measure, self.measures)
+        has_density = self._lam.density_fn() is not None
+        self._regular_J = J_density * has_density + len(self._lam.atoms())
+        self._regular = regular_basis(self._lam, self._regular_J) if self._regular_J else None
+        self._singular = [
+            (base, WalshBasis(getattr(base, "_ifs_measure", None) or base, depth=_WALSH_DEPTH))
+            for base, _ in self._lam.singular_parts()
+        ]
+        self.total_J = self._regular_J + len(self._singular) * 2**_WALSH_DEPTH
 
     def coefficients(self, F: SigmaFunction) -> np.ndarray:
         out = np.zeros(self.total_J)
-        w_mu = F.mu.density_fn()
-        for kind, basis, offset, width, extra in self._blocks:
-            if kind == "density" and w_mu is not None:
-                lam_density = extra
-                w_lam = lam_density.density_fn()
-                lo, hi = lam_density.support_hull()
-                xq, wq = quadrature.nodes_weights(lo, hi, 512)
-                integrand = (
-                    np.asarray(F.f(xq), dtype=float)
-                    * np.sqrt(
-                        np.asarray(w_mu(xq), dtype=float) * np.asarray(w_lam(xq), dtype=float)
-                    )
-                )
-                out[offset : offset + width] = basis.evaluate_block(xq, width).T @ (
-                    wq * integrand
-                )
-            elif kind == "atoms":
-                for j, (x, _) in enumerate(self._atoms):
-                    m_mu = F.mu.atom_mass_at(x)
-                    if m_mu > 0:
-                        fv = float(np.asarray(F.f(np.array([x]))).ravel()[0])
-                        out[offset + j] = fv * math.sqrt(m_mu)
-            elif kind == "singular":
-                for base, scale in F.mu.singular_parts():
-                    if _same_singular(base, extra):
-                        out[offset : offset + width] = math.sqrt(scale) * basis.inner_coefficients(
-                            F.f, width
-                        )
+        if self._regular is not None:
+            rep = _representative(F, self._lam, _regular_derivative)
+            out[: self._regular_J] = self._regular.inner_coefficients(rep, self._regular_J)
+        offset = self._regular_J
+        for base, basis in self._singular:
+            for part, scale in F.mu.singular_parts():
+                if _same_singular(part, base):
+                    c = basis.inner_coefficients(F.f, basis.size)
+                    out[offset : offset + basis.size] = math.sqrt(scale) * c
+            offset += basis.size
         return out
 
     def lift(self, F: SigmaFunction, xi) -> float:

@@ -9,6 +9,7 @@ from noisefield import (
     BernoulliMeasure,
     BorelSet,
     DensityMeasure,
+    GaussianNoiseField,
     LebesgueMeasure,
     MixedBasis,
     PiecewiseBasis,
@@ -269,6 +270,17 @@ def test_composite_basis_for_density_plus_atoms():
     assert np.abs(G - np.eye(basis.size)).max() < 1e-8
     c = basis.indicator_coefficients(BorelSet.interval(0.4, 0.6), 257)
     assert np.sum(c**2) == pytest.approx(mu.measure_of(BorelSet.interval(0.4, 0.6)), abs=3e-3)
+
+
+def test_composite_density_block_lives_on_the_density_hull():
+    # the atom lies beyond the density's interval; a Legendre block on the
+    # whole hull (0, 1.5] would see a density vanishing on a third of it
+    mu = sum_measure(LebesgueMeasure(0, 1), AtomicMeasure([(1.5, 1.0)]))
+    field = GaussianNoiseField(mu, J=16)
+    for A in (BorelSet.interval(0, 2), BorelSet.interval(1, 2)):
+        c = field.coefficients(A)
+        assert abs(c @ c - mu.measure_of(A)) < 1e-12
+    assert np.abs(field.basis.gram(16) - np.eye(16)).max() < 1e-12
 
 
 def test_change_of_basis_preserves_gram():

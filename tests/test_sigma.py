@@ -7,6 +7,7 @@ from noisefield import (
     AtomicMeasure,
     BorelSet,
     DensityMeasure,
+    GaussianNoiseField,
     LebesgueMeasure,
     SigmaFunction,
     SigmaLift,
@@ -18,6 +19,7 @@ from noisefield import (
     inner_product,
     lift,
     sample_xi,
+    sum_measure,
 )
 
 
@@ -241,6 +243,27 @@ def test_lift_rejects_density_family_with_a_gap():
     space = SigmaLift([LEB, LebesgueMeasure(2, 3)])
     with pytest.raises(ValueError, match="degenerate"):
         space.coefficients(SigmaFunction(const(1.0), LEB))
+
+
+ONE_MEASURE_FAMILIES = {
+    "lebesgue": LEB,
+    "polynomial-density": DensityMeasure(0, 1, [1.0, 2.0, 0.5]),
+    "density-plus-atoms": sum_measure(
+        DensityMeasure(0, 1, [1.0, 0.5]), AtomicMeasure([(0.25, 0.5), (0.7, 1.25)])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_MEASURE_FAMILIES))
+def test_lift_of_one_measure_family_is_its_ito_map(name):
+    mu = ONE_MEASURE_FAMILIES[name]
+    space = SigmaLift([mu])
+
+    def f(x):
+        return np.cos(3 * ident(x)) + ident(x)
+
+    ito = GaussianNoiseField(mu, J=space.total_J).ito_coefficients(f)
+    assert np.array_equal(space.coefficients(SigmaFunction(f, mu)), ito)
 
 
 def test_lift_handles_singular_blocks():
