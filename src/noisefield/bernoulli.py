@@ -18,14 +18,21 @@ import numpy as np
 
 from . import quadrature, streams
 
+_INVERSION_NODES = 12  # Gauss nodes per panel of the Fourier-inversion density
+_PROXY_NODES = 8  # Gauss nodes per panel of the square-integrability proxy
+
+
+def _series_terms(lam) -> int:
+    """Number K of series terms drawn: the first K with lam^K below 1e-14, at least 4."""
+    return max(4, int(math.ceil(math.log(1e-14) / math.log(lam))))
 
 class BernoulliConvolution:
-    def __init__(self, lam: float, stream_id=0, K: int | None = None):
+    def __init__(self, lam: float, stream_id=0):
         if not 0.0 < lam < 1.0:
             raise ValueError("lambda must lie in (0, 1)")
         self.lam = float(lam)
         self.stream_id = stream_id
-        self.K = K if K is not None else max(4, int(math.ceil(math.log(1e-14) / math.log(lam))))
+        self.K = _series_terms(lam)
 
     @property
     def support_radius(self) -> float:
@@ -52,11 +59,10 @@ def covariance(lam: float, rho: float) -> float:
     return lam * rho / (1.0 - lam * rho)
 
 
-def coupled_samples(lams, n: int, stream_id, K: int | None = None) -> np.ndarray:
+def coupled_samples(lams, n: int, stream_id) -> np.ndarray:
     """(n, len(lams)) draws of the series, all columns on one coin stream."""
     lams = np.asarray(lams, dtype=float)
-    if K is None:
-        K = max(4, int(math.ceil(math.log(1e-14) / math.log(lams.max()))))
+    K = _series_terms(lams.max())
     powers = lams[None, :] ** np.arange(1, K + 1)[:, None]  # (K, m)
 
     def block(row, m):
@@ -78,12 +84,12 @@ def fourier_transform(lam: float, t, n_factors: int):
     return out, tail
 
 
-def inversion_density(lam: float, xs, cutoff: float = 200.0, panel_nodes: int = 12) -> np.ndarray:
+def inversion_density(lam: float, xs, cutoff: float = 200.0) -> np.ndarray:
     """Density estimate from inverting the cosine product over |t| <= cutoff."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     n0 = int(math.ceil(math.log(cutoff / 1e-8) / math.log(1.0 / lam)))
     edges = np.linspace(0.0, cutoff, max(int(2 * cutoff), 64) + 1)
-    tq, wq = quadrature.panel_rule(edges, panel_nodes)
+    tq, wq = quadrature.panel_rule(edges, _INVERSION_NODES)
     chf, _ = fourier_transform(lam, tq, n0)
     return np.cos(np.outer(xs, tq)) @ (wq * chf) / np.pi
 
@@ -135,7 +141,7 @@ def scaling_identity_residual(
     return float(np.sum(np.abs(lhs - rhs)) * bin_width)
 
 
-def ac2_l2_proxy(lam: float, T: float, panel_nodes: int = 8) -> float:
+def ac2_l2_proxy(lam: float, T: float) -> float:
     """integral_{-T}^{T} prod_n cos^2(lam^n t) dt, a square-integrability probe.
 
     Bounded in T exactly for the square-integrable densities; keeps growing
@@ -150,7 +156,7 @@ def ac2_l2_proxy(lam: float, T: float, panel_nodes: int = 8) -> float:
         prod, _ = fourier_transform(lam, t, n0)
         return prod * prod
 
-    return 2.0 * quadrature.integrate_panels(integrand, edges, panel_nodes)
+    return 2.0 * quadrature.integrate_panels(integrand, edges, _PROXY_NODES)
 
 
 def hardy_coefficients(lam: float, n: int) -> np.ndarray:

@@ -296,21 +296,10 @@ def cmd_boundary_embed(args):
     else:
         raise UsageError(f"unknown kernel {args.kernel!r} for embedding")
     J = args.J or kernel.default_J
-    block = kernel.feature_block(points, J)
-    rows = []
-    for i, s in enumerate(points):
-        for j, t in enumerate(points):
-            if j <= i:
-                continue
-            emb = float(np.sum(np.abs(block[i] - block[j]) ** 2))
-            ref = float(
-                (
-                    kernel.evaluate(s, s)
-                    - 2.0 * np.real(kernel.evaluate(s, t))
-                    + kernel.evaluate(t, t)
-                ).real
-            )
-            rows.append([_fmt(s), _fmt(t), emb, ref, abs(emb - ref)])
+    rows = [
+        [_fmt(points[i]), _fmt(points[j]), emb, ref, abs(emb - ref)]
+        for i, j, emb, ref in kernels.embedding_pairs(kernel, points, J)
+    ]
     desc = _descriptor(args, kernel=args.kernel, points=args.points, J=J)
     _emit(args, desc, ["s", "t", "embedded_dist_sq", "kernel_dist_sq", "abs_error"], rows)
 

@@ -27,6 +27,7 @@ from .sets import BorelSet
 from . import streams
 
 _OVERLAP_TOL = 1e-12
+_CLOSEDNESS_DEPTH = 6  # closedness_residual checks every word up to this length
 
 
 def _as_exact(x):
@@ -296,17 +297,17 @@ def pushforward_system(ifs: IteratedFunctionSystem, i: int) -> IteratedFunctionS
 # -- sampling and moments ---------------------------------------------------
 
 
-def chaos_game_sample(ifs: IteratedFunctionSystem, n, stream_id, depth=None) -> np.ndarray:
-    """n independent attractor points from depth-``depth`` random digit words.
+def chaos_game_sample(ifs: IteratedFunctionSystem, n, stream_id) -> np.ndarray:
+    """n independent attractor points from depth-K random digit words.
 
-    Each sample evaluates tau_{d1} o ... o tau_{dK} at the hull midpoint, so the
+    Each sample evaluates tau_{d1} o ... o tau_{dK} at the hull midpoint, with
+    K the first depth at which the largest ratio r has r^K <= 1e-15, so the
     law matches the invariant measure up to the r^K contraction tail.
     """
     if not ifs.is_closed(tol=1e-9):
         raise ValueError("sampling requires branch weights summing to 1")
     rmax = max(float(r) for r in ifs.ratios)
-    if depth is None:
-        depth = int(np.ceil(np.log(1e-15) / np.log(rmax)))
+    depth = int(np.ceil(np.log(1e-15) / np.log(rmax)))
     probs = np.array([float(p) for p in ifs.probabilities()])
     edges = np.cumsum(probs)
     ratios, shifts = ifs._affine_arrays()
@@ -373,8 +374,8 @@ def invariant_integrate(ifs: IteratedFunctionSystem, poly_coeffs):
     return total if total is not None else 0
 
 
-def closedness_residual(ifs: IteratedFunctionSystem, depth: int = 6) -> float:
-    """Max cylinder defect of mu = sum_i (weight_i) mu o tau_i^(-1).
+def closedness_residual(ifs: IteratedFunctionSystem) -> float:
+    """Max cylinder defect of mu = sum_i (weight_i) mu o tau_i^(-1), words up to length 6.
 
     Cylinder masses are taken as products of the declared weights, so a unit
     weight sum gives residual 0 exactly and a broken sum shows up at the root.
@@ -394,7 +395,7 @@ def closedness_residual(ifs: IteratedFunctionSystem, depth: int = 6) -> float:
         word = stack.pop()
         pushed = sum(mass((i,) + word) for i in range(k))
         worst = max(worst, abs(pushed - mass(word)))
-        if len(word) < depth:
+        if len(word) < _CLOSEDNESS_DEPTH:
             stack.extend(word + (i,) for i in range(k))
     return worst
 

@@ -31,6 +31,13 @@ from .sets import BorelSet
 INSIDE = "inside"
 ESCAPED = "escaped"
 BUDGET_EXCEEDED = "budget-exceeded"
+# julia_membership: orbit steps, escape radius, l1 budget of the orbit, and
+# the contraction ratio that _TAIL_WINDOW consecutive steps must meet
+_MEMBERSHIP_ITER = 64
+_ESCAPE_RADIUS = 2.1
+_L1_BUDGET = 1e6
+_TAIL_RATIO = 0.9
+_TAIL_WINDOW = 10
 
 
 class PositiveDefiniteKernel:
@@ -106,37 +113,30 @@ def julia_orbit(z, n: int) -> np.ndarray:
     return out
 
 
-def julia_membership(
-    z,
-    max_iter: int = 64,
-    l1_budget: float = 1e6,
-    escape_radius: float = 2.1,
-    tail_ratio: float = 0.9,
-    window: int = 10,
-) -> str:
+def julia_membership(z) -> str:
     """Trichotomy for the summable-orbit domain of the quartic iteration.
 
-    "escaped" once the orbit leaves the escape radius (beyond 2.1 the modulus
-    grows monotonically since |R(z)| >= |z|^2 (|z|^2 - 2) > |z|);  "inside"
-    when the last ``window`` steps contracted geometrically, certifying a
-    summable tail;  everything else is reported as "budget-exceeded" rather
-    than guessed.
+    "escaped" once the orbit leaves the escape radius 2.1 (beyond it the
+    modulus grows monotonically since |R(z)| >= |z|^2 (|z|^2 - 2) > |z|);
+    "inside" when the last 10 steps each contracted by 0.9, certifying a
+    summable tail;  everything else, after 64 steps or once the orbit's l1
+    sum passes 1e6, is reported as "budget-exceeded" rather than guessed.
     """
     cur = complex(z)
     partial = 0.0
     contractions = 0
     prev = None
-    for _ in range(max_iter):
+    for _ in range(_MEMBERSHIP_ITER):
         mag = abs(cur)
-        if mag > escape_radius:
+        if mag > _ESCAPE_RADIUS:
             return ESCAPED
         partial += mag
-        if partial > l1_budget:
+        if partial > _L1_BUDGET:
             return BUDGET_EXCEEDED
         if prev is not None:
-            if mag <= tail_ratio * prev + 1e-30:
+            if mag <= _TAIL_RATIO * prev + 1e-30:
                 contractions += 1
-                if contractions >= window:
+                if contractions >= _TAIL_WINDOW:
                     return INSIDE
             else:
                 contractions = 0
@@ -157,12 +157,11 @@ class JuliaProductKernel(PositiveDefiniteKernel):
     is_complex = True
     default_J = 256
 
-    def __init__(self, n_factors: int = 24, membership_iter: int = 64):
+    def __init__(self, n_factors: int = 24):
         self.n_factors = n_factors
-        self.membership_iter = membership_iter
 
     def require_member(self, z):
-        verdict = julia_membership(z, max_iter=self.membership_iter)
+        verdict = julia_membership(z)
         if verdict != INSIDE:
             raise ValueError(f"point {z} is not a certified member (verdict: {verdict})")
 
@@ -203,22 +202,25 @@ def embed_point(kernel: PositiveDefiniteKernel, t, J: int) -> np.ndarray:
     return kernel.feature_block([t], J)[0]
 
 
-def metric_identity_residual(kernel: PositiveDefiniteKernel, points, J: int) -> float:
-    """max over pairs of | ||tau(t)-tau(s)||^2 - (C(t,t) - 2 Re C(t,s) + C(s,s)) |."""
+def embedding_pairs(kernel: PositiveDefiniteKernel, points, J: int):
+    """(i, j, ||tau(s)-tau(t)||^2, C(s,s) - 2 Re C(s,t) + C(t,t)) for s, t = points i < j."""
     points = list(points)
     if len(points) < 2:
-        return 0.0
+        return
     block = kernel.feature_block(points, J)
-    worst = 0.0
-    for i in range(len(points)):
+    for i, s in enumerate(points):
         for j in range(i + 1, len(points)):
+            t = points[j]
             emb = float(np.sum(np.abs(block[i] - block[j]) ** 2))
-            ref = (
-                kernel.evaluate(points[i], points[i])
-                - 2.0 * np.real(kernel.evaluate(points[i], points[j]))
-                + kernel.evaluate(points[j], points[j])
-            ).real
-            worst = max(worst, abs(emb - ref))
+            ref = kernel.evaluate(s, s) - 2.0 * np.real(kernel.evaluate(s, t)) + kernel.evaluate(t, t)
+            yield i, j, emb, float(ref.real)
+
+
+def metric_identity_residual(kernel: PositiveDefiniteKernel, points, J: int) -> float:
+    """max over pairs of | ||tau(t)-tau(s)||^2 - (C(t,t) - 2 Re C(t,s) + C(s,s)) |."""
+    worst = 0.0
+    for _i, _j, emb, ref in embedding_pairs(kernel, points, J):
+        worst = max(worst, abs(emb - ref))
     return worst
 
 
@@ -277,7 +279,7 @@ def exp_set_gram(mu: SigmaFiniteMeasure, sets) -> np.ndarray:
     return G
 
 
-def fourier_map_isometry(mu, sets, coeffs, n: int, stream_id, J: int = 512, basis=None):
+def fourier_map_isometry(mu, sets, coeffs, n: int, stream_id, J: int = 512):
     """Norm of sum_j a_j K_{A_j} computed two ways.
 
     Exactly in the kernel space:  sum a_j a_k K(A_j, A_k);  and by Monte
@@ -290,7 +292,7 @@ def fourier_map_isometry(mu, sets, coeffs, n: int, stream_id, J: int = 512, basi
         raise ValueError("need one coefficient per set")
     G = exp_set_gram(mu, sets)
     kernel_norm = float(a @ G @ a)
-    field = GaussianNoiseField(mu, basis=basis, J=J)
+    field = GaussianNoiseField(mu, J=J)
     forms = streams.linear_forms(stream_id, [field.coefficients(A) for A in sets])
     mean, se = streams.mc_mean(
         n, lambda row, m: np.abs(streams.row_dot(np.exp(1j * forms(row, m)), a)) ** 2

@@ -228,8 +228,11 @@ class CoordinateFactorMap:
 
 # -- spectral variance of fractional increments --------------------------------
 
+_FBM_PANEL_NODES = 24  # Gauss nodes per half-period panel
+_FBM_TAIL_START = 3000.0  # panels run up to here; the tail beyond is closed-form
 
-def fbm_spectral_integral(H: float, t: float, panel_nodes: int = 24, tail_start: float = 3000.0):
+
+def fbm_spectral_integral(H: float, t: float):
     """integral_0^inf 2 (1 - cos(t x)) x^(-2H-1) dx with a rigorous error bound.
 
     Split: power series on [0, 1/t], half-period Gauss-Legendre panels up to
@@ -254,14 +257,14 @@ def fbm_spectral_integral(H: float, t: float, panel_nodes: int = 24, tail_start:
             break
     else:
         raise ValueError(f"series at the origin failed to converge (H={H}, t={t})")
-    B = max(tail_start, 2.0 * eps)
+    B = max(_FBM_TAIL_START, 2.0 * eps)
     n_panels = int(math.ceil((B - eps) * t / math.pi))
     B = eps + n_panels * math.pi / t
     edges = eps + (math.pi / t) * np.arange(n_panels + 1)
     from .quadrature import integrate_panels
 
     middle = integrate_panels(
-        lambda x: 2.0 * (1.0 - np.cos(t * x)) * x ** (-s), edges, panel_nodes
+        lambda x: 2.0 * (1.0 - np.cos(t * x)) * x ** (-s), edges, _FBM_PANEL_NODES
     )
     power_tail = 2.0 * B ** (1.0 - s) / (s - 1.0)
     ibp1 = -math.sin(t * B) * B ** (-s) / t
@@ -278,8 +281,8 @@ def fbm_spectral_integral(H: float, t: float, panel_nodes: int = 24, tail_start:
     return value, error
 
 
-def fbm_increment_variance(H: float, t: float, **quad) -> float:
+def fbm_increment_variance(H: float, t: float) -> float:
     """V(t) normalized so V(1) = 1; scales as t^(2H)."""
-    v_t, _ = fbm_spectral_integral(H, t, **quad)
-    v_1, _ = fbm_spectral_integral(H, 1.0, **quad)
+    v_t, _ = fbm_spectral_integral(H, t)
+    v_1, _ = fbm_spectral_integral(H, 1.0)
     return v_t / v_1
