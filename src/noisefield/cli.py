@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
 from fractions import Fraction
@@ -183,9 +184,10 @@ def _check_bounds(args):
     J = getattr(args, "J", None)
     if J is not None and not 1 <= J <= MAX_TRUNCATION:
         raise UsageError(f"--J must lie in [1, {MAX_TRUNCATION}]")
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
+    if args.workers < 1:
         raise UsageError("--workers must be >= 1")
+    if args.workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise UsageError("--workers above 1 needs the fork start method")
 
 
 # -- subcommand bodies ------------------------------------------------------------
@@ -381,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--workers", type=int, default=1,
-                       help="accepted and validated (>= 1); runs are single-process and "
-                       "the value is not part of the descriptor")
+                       help="processes for the Monte Carlo block loop (>= 1); artifacts are "
+                       "byte-identical for every count and it is not part of the descriptor")
         if seed:
             p.add_argument("--seed", type=int, default=7)
         if N is not None:
@@ -497,7 +499,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_bounds(args)
-        args.func(args)
+        with streams.workers(args.workers):
+            args.func(args)
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (ValueError, NotImplementedError) as exc:

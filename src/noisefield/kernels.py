@@ -98,11 +98,6 @@ class BrownianKernel(PositiveDefiniteKernel):
         return self._sine.evaluate_block(ts, J)
 
 
-def julia_map(z):
-    z = np.asarray(z, dtype=complex)
-    return z**4 - 2.0 * z**2
-
-
 def julia_orbit(z, n: int) -> np.ndarray:
     """(R_0(z), ..., R_{n-1}(z)) with R_0 the identity."""
     out = np.empty(n, dtype=complex)

@@ -57,10 +57,6 @@ class SigmaFunction:
         self.mu = mu
         self.grid = np.asarray(grid, dtype=float) if grid is not None else mu.canonical_grid()
 
-    def norm_squared(self) -> float:
-        val, _ = self.mu.integrate(lambda x: np.asarray(self.f(x), dtype=float) ** 2)
-        return float(val)
-
     def __repr__(self):
         return f"SigmaFunction(mu={self.mu.kind})"
 

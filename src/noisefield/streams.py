@@ -3,8 +3,7 @@
 Every coordinate of every stream is addressable in O(1): the j-th value of
 stream ``s`` is a pure function of ``(s, j)``, so replaying a single
 coordinate, a slice, or a whole Monte Carlo run is exact and independent of
-evaluation order.  Workers can therefore partition a run by sample index
-without sharing state and still produce bit-identical results.
+evaluation order.
 
 Uniform bits come from the SplitMix64 sequence (seed mixed once, then the
 64-bit counter walks the golden-ratio increment through the finalizer).
@@ -17,6 +16,8 @@ a ``block(row, m)`` that returns the values of m rows, each reduced on its
 own, so emitted samples (``emit_rows``) do not depend on the grid.
 ``mc_mean`` merges per-block (count, mean, M2) pairwise in block order (Chan,
 Golub & LeVeque 1983), so for it the grid is part of the replay contract.
+Under ``workers(k)``, a process-wide setting, both drivers run the blocks on
+k forked processes and take the results in block order, so k changes no byte.
 Every Gaussian functional is a function of finitely many linear forms <c, xi>:
 ``linear_forms`` computes them from a (k, J) coefficient array and draws only
 the union of the forms' nonzero columns, which is exact because every
@@ -35,6 +36,9 @@ nothing.
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
+
 import numpy as np
 from scipy.special import ndtri
 
@@ -44,6 +48,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0xD6E8FEB86659FD93)
 _BLOCK_ROWS = 1 << 13
 _TILE_WORDS = 1 << 15  # 256 KiB per uint64 buffer
+_workers = 1  # set by ``workers``
+_block = None  # the block a forked worker runs
 
 
 def _mix(words, scratch):
@@ -203,6 +209,44 @@ def digit_matrix(stream_id, n_samples, n_coords, n_branches, first_sample=0) -> 
 # -- the sample-row grid ------------------------------------------------------
 
 
+@contextlib.contextmanager
+def workers(k):
+    """In this context ``emit_rows`` and ``mc_mean`` walk their grid blocks on k processes."""
+    global _workers
+    if not (isinstance(k, int) and k >= 1):
+        raise ValueError(f"worker count must be an integer >= 1, not {k!r}")
+    saved, _workers = _workers, k
+    try:
+        yield
+    finally:
+        _workers = saved
+
+
+def _bind(block):
+    # runs first in each forked worker; a daemon may not fork, so nested drivers run in process
+    global _block, _workers
+    _block, _workers = block, 1
+
+
+def _run_block(span):
+    return _block(*span)
+
+
+def _walk(n, block):
+    """Yield ``((start, m), block(start, m))`` over the grid blocks of rows 0 .. n-1, in order.
+
+    Under ``workers(k)``, min(k, blocks) forked processes run the blocks (a
+    fork copies ``block``, so it needs no pickling); else they run here in turn.
+    """
+    spans = [(start, min(_BLOCK_ROWS, n - start)) for start in range(0, n, _BLOCK_ROWS)]
+    k = min(_workers, len(spans))
+    if k <= 1:
+        yield from zip(spans, (block(*span) for span in spans))
+        return
+    with multiprocessing.get_context("fork").Pool(k, _bind, (block,)) as pool:
+        yield from zip(spans, pool.imap(_run_block, spans))
+
+
 def emit_rows(out, first, block):
     """Fill ``out`` with samples ``first .. first + len(out) - 1``, one grid block at a time.
 
@@ -210,9 +254,8 @@ def emit_rows(out, first, block):
     ``row``; they must be computed row by row (``row_dot``), so the result
     does not depend on the block size.
     """
-    for start in range(0, len(out), _BLOCK_ROWS):
-        m = min(_BLOCK_ROWS, len(out) - start)
-        out[start : start + m] = block(first + start, m)
+    for (start, m), vals in _walk(len(out), lambda row, m: block(first + row, m)):
+        out[start : start + m] = vals
     return out
 
 
@@ -254,14 +297,17 @@ def mc_mean(n, block):
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    total, m2 = np.zeros(2), np.zeros(2)
-    for start in range(0, n, _BLOCK_ROWS):
-        m = min(_BLOCK_ROWS, n - start)
-        vals = block(start, m)
+
+    def partials(row, m):
+        vals = block(row, m)
         parts = np.real(vals), np.imag(vals)
         s = np.array([p.sum() for p in parts])
+        return s, np.array([((p - si / m) ** 2).sum() for p, si in zip(parts, s)])
+
+    total, m2 = np.zeros(2), np.zeros(2)
+    for (start, m), (s, own_m2) in _walk(n, partials):
         delta = s / m - total / max(start, 1)
-        m2 += [((p - si / m) ** 2).sum() for p, si in zip(parts, s)]
+        m2 += own_m2
         m2 += delta * delta * (start * m / (start + m))
         total += s
     mean = total / n

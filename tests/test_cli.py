@@ -1,10 +1,14 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 
 import pytest
 
+from noisefield import streams
 from noisefield.cli import UsageError, build_parser, main, parse_measure, parse_set
+
+N_POOL = 3 * 8192 + 5
 
 
 def run_cli(args, **kw):
@@ -167,11 +171,46 @@ def test_fbm_variance_table(tmp_path):
      "--seed", "5"],
     ["fourier-isometry", "--measure", "lebesgue:0,2", "--sets", "0,1|1,2", "--coeffs", "1,-1",
      "--N", "9000", "--J", "64", "--seed", "17"],
+    # four grid blocks each, so --workers 2 and 3 fork
+    ["covariance", "--measure", "lebesgue:0,1", "--A", "0,0.6", "--B", "0.4,1",
+     "--N", str(N_POOL), "--seed", "11", "--J", "64"],
+    ["sample-path", "--measure", "lebesgue:0,1", "--A", "0,0.6", "--N", str(N_POOL), "--J", "32",
+     "--seed", "3"],
+    ["ito-isometry", "--measure", "lebesgue:0,1", "--poly", "0,1", "--N", str(N_POOL),
+     "--J", "64", "--seed", "5"],
+    ["fourier-isometry", "--measure", "lebesgue:0,2", "--sets", "0,1|1,2", "--coeffs", "1,-1",
+     "--N", str(N_POOL), "--J", "64", "--seed", "17"],
+    ["bernoulli-density", "--lambda", "0.5", "--N", str(N_POOL), "--seed", "13"],
 ])
 def test_artifacts_identical_for_every_worker_count(tmp_path, argv):
     outputs = []
     for workers in (1, 2, 3):
         out = tmp_path / f"w{workers}.csv"
         assert main(argv + ["--workers", str(workers), "--out", str(out)]) == 0
+        assert not multiprocessing.active_children()
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_a_block_error_under_workers_exits_3_with_a_record(monkeypatch, capsys):
+    def failing(mat, vec):
+        raise ValueError("row reduction failed")
+
+    monkeypatch.setattr(streams, "row_dot", failing)
+    argv = ["covariance", "--measure", "lebesgue:0,1", "--A", "0,0.6", "--B", "0.4,1",
+            "--N", str(N_POOL), "--J", "16", "--workers", "2"]
+    assert main(argv) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == {"subcommand": "covariance", "type": "ValueError",
+                               "message": "row reduction failed"}
+    assert not multiprocessing.active_children()
+
+
+def test_workers_need_the_fork_start_method(monkeypatch, tmp_path):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    argv = ["covariance", "--measure", "lebesgue:0,1", "--A", "0,0.6", "--B", "0.4,1",
+            "--N", "500", "--J", "16", "--out", str(tmp_path / "c.csv")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--workers", "2"])
+    assert exit_info.value.code == 2
+    assert main(argv + ["--workers", "1"]) == 0

@@ -1,5 +1,7 @@
 import functools
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -299,13 +301,18 @@ MEMORY = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MEMORY))
-def test_stream_memory_does_not_grow_with_the_grid_block(name):
+@pytest.mark.parametrize("name, k", [
+    pytest.param(name, k, id=name if k == 1 else f"{name}-workers{k}")
+    for name in sorted(MEMORY) for k in (1, 2)
+])
+def test_stream_memory_does_not_grow_with_the_grid_block(name, k):
     # A grid block of 8192 rows x 512 coordinates is 32 MB per float64 temporary.
+    # Under k = 2 the blocks run in forked workers; the caller holds their results.
     MEMORY[name]()  # builds and caches the coefficients
     tracemalloc.start()
     try:
-        MEMORY[name]()
+        with streams.workers(k):
+            MEMORY[name]()
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -336,3 +343,74 @@ def test_estimators_call_the_traced_stream_layers(monkeypatch, name):
         monkeypatch.setattr(streams, attr, counted)
     SMALL[name]()
     assert all(calls.values()), calls
+
+
+# -- worker processes ----------------------------------------------------------------
+
+N_POOL = 3 * 8192 + 5  # four grid blocks, so k = 2 and k = 3 fork
+
+POOLED = {
+    "characteristic_functional_mc": lambda: noise.characteristic_functional_mc(C, N_POOL, 2),
+    "moment_identity_mc": lambda: noise.moment_identity_mc(0, 1, C, N_POOL, 2),
+    "boundary_process_cov": lambda: kernels.boundary_process_cov(
+        kernels.BrownianKernel(), 0.3, 0.7, 64, N_POOL, 2
+    ),
+    "cross_term_bound_mc": lambda: bernoulli.cross_term_bound_mc(
+        bernoulli.BernoulliConvolution(0.6, stream_id=37), 0.3, N_POOL
+    ),
+    "bernoulli_sample": lambda: COINS.sample(N_POOL, 3),
+    "chaos_game_sample": lambda: ifs.chaos_game_sample(cantor_measure().ifs, N_POOL, 6),
+    "lift_samples": lambda: LIFT.lift_samples(LIFT_F, N_POOL, 8, 3),
+    "sample_pair": lambda: PAIR.sample_pair(A, N_POOL, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOLED))
+def test_library_results_identical_for_every_worker_count(name):
+    results = []
+    for k in (1, 2, 3):
+        with streams.workers(k):
+            results.append(POOLED[name]())
+    assert _same(results[0], results[1]) and _same(results[0], results[2])
+    assert not multiprocessing.active_children()
+
+
+def test_blocks_run_outside_the_calling_process():
+    with streams.workers(2):
+        pids = streams.emit_rows(np.empty(N_POOL), 0, lambda row, m: np.full(m, os.getpid()))
+    assert set(pids) - {os.getpid()}
+
+
+class BlockFailure(Exception):
+    pass
+
+
+def test_a_block_error_reaches_the_caller_with_its_type():
+    def block(row, m):
+        if row >= 8192:
+            raise BlockFailure(f"block at row {row}")
+        return np.zeros(m)
+
+    with streams.workers(2), pytest.raises(BlockFailure, match="block at row"):
+        streams.mc_mean(N_POOL, block)
+    assert not multiprocessing.active_children()
+
+
+def test_forked_workers_run_nested_drivers_in_process():
+    # A pool's workers are daemons, which may not fork: a nested driver that
+    # kept the caller's worker count would fail.
+    inner = streams.linear_forms(5, [1.0, 0.5])
+
+    def block(row, m):
+        mean, _se = streams.mc_mean(2 * 8192 + 1, lambda r, k: inner(r, k)[:, 0] + row)
+        return np.full(m, mean.real)
+
+    expected = streams.emit_rows(np.empty(N_POOL), 0, block)
+    with streams.workers(2):
+        assert np.array_equal(streams.emit_rows(np.empty(N_POOL), 0, block), expected)
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.5, "2"])
+def test_worker_count_is_validated(k):
+    with pytest.raises(ValueError, match="worker count"), streams.workers(k):
+        pass
