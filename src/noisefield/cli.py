@@ -155,7 +155,14 @@ def _write(fh, fmt, descriptor, header, rows):
         fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+# exact-type fast path of _fmt; each entry gives the same string as the chain
+_FMT_EXACT = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__, str: str}
+
+
 def _fmt(v) -> str:
+    fast = _FMT_EXACT.get(type(v))
+    if fast is not None:
+        return fast(v)
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, (complex, np.complexfloating)):

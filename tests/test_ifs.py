@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -241,6 +242,59 @@ def test_relation_residuals_exact_systems(system):
 def test_relation_residual_detects_non_closed():
     r1, r2 = cuntz_relation_residual(broken_pair(), depth=6)
     assert r2 >= abs(1 - 0.8) - 1e-12
+
+
+def _dense_isometry(ifs, i, depth):
+    """S_i as a dense n^d x n^(d-1) matrix in orthonormal cell coordinates."""
+    n = ifs.n_branches
+    closed = ifs.is_closed(tol=1e-9)
+    phat = float(ifs.probabilities()[i]) if closed else float(ifs.weights[i]) / ifs.weight_sum
+    cols = np.arange(n ** (depth - 1))
+    mat = np.zeros((n**depth, n ** (depth - 1)))
+    mat[i + n * cols, cols] = np.sqrt(phat / float(ifs.weights[i]))
+    return mat
+
+
+def _dense_residuals(ifs, depth):
+    mats = [_dense_isometry(ifs, i, depth) for i in range(ifs.n_branches)]
+    eye_lo, eye_hi = np.eye(mats[0].shape[1]), np.eye(mats[0].shape[0])
+    r1 = max(
+        np.linalg.norm(si.T @ sj - (eye_lo if i == j else 0.0), 2)
+        for i, si in enumerate(mats)
+        for j, sj in enumerate(mats)
+    )
+    r2 = np.linalg.norm(sum(si @ si.T for si in mats) - eye_hi, 2)
+    return float(r1), float(r2)
+
+
+def three_branch():
+    return make_ifs([(0.2, 0.0), (0.2, 0.4), (0.2, 0.8)], [0.15, 0.25, 0.55])
+
+
+@pytest.mark.parametrize("depth", [4, 6])
+@pytest.mark.parametrize(
+    "system",
+    [
+        cantor_system(),
+        binary_system(),
+        broken_pair(),
+        make_ifs([(1 / 3, 0.0), (1 / 3, 2 / 3)], [0.3, 0.6]),
+        three_branch(),
+    ],
+    ids=["cantor", "binary", "broken_pair", "weights-0.3-0.6", "three-branch"],
+)
+def test_relation_residuals_equal_the_dense_operator_norms(system, depth):
+    assert cuntz_relation_residual(system, depth) == _dense_residuals(system, depth)
+
+
+def test_relation_residuals_hold_no_dense_operator():
+    tracemalloc.start()
+    try:
+        cuntz_relation_residual(three_branch(), depth=7)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 4.0  # one dense 3^7 x 3^7 product alone is 36 MiB
 
 
 def test_depth_overflow_rejected():

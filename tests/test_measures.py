@@ -17,6 +17,8 @@ from noisefield import (
     radon_nikodym_on_grid,
     sum_measure,
 )
+from noisefield import quadrature
+from noisefield.measures import _INVERSION_CUTOFF, _INVERSION_ROWS
 from test_coeff_goldens import SYSTEMS
 
 
@@ -340,6 +342,54 @@ def test_bernoulli_inversion_integral_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak_mb < 64.0
+
+
+def _two_inversion_integral(mu, f, A):
+    """The 512- and 256-cell Riemann sums, each from its own CDF inversion."""
+    lo, hi = mu.support_hull()
+    A = A.clip(lo, hi) if A is not None else BorelSet.interval(lo, hi)
+    total, err = 0.0, 0.0
+    for a, b in A.intervals:
+        sums = []
+        for cells in (512, 256):
+            grid = np.linspace(a, b, cells + 1)
+            cdfs, _ = mu._cdf_inversion(grid)
+            mids = 0.5 * (grid[:-1] + grid[1:])
+            sums.append(float(np.asarray(f(mids), dtype=float) @ np.diff(cdfs)))
+        total += sums[0]
+        err += abs(sums[0] - sums[1])
+    return total, err
+
+
+@pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("A", [None, BorelSet.interval(-0.7, 1.3)], ids=["hull", "sub"])
+def test_bernoulli_integral_matches_two_inversions_bit_for_bit(lam, A):
+    mu = BernoulliMeasure(lam)
+    f = lambda x: np.cos(3.0 * x) + x**2
+    assert mu.integrate(f, A) == _two_inversion_integral(mu, f, A)
+
+
+@pytest.mark.parametrize("lam", [0.6, 0.9])
+def test_bernoulli_inversion_matches_out_of_place_sine_oracle(lam):
+    mu = BernoulliMeasure(lam)
+    b = mu.support_hull()[1]
+    xs = np.linspace(-b - 0.1, b + 0.1, 2 * _INVERSION_ROWS + 9)
+    T = _INVERSION_CUTOFF
+    n0 = int(np.ceil(np.log(T / 1e-9) / np.log(1.0 / lam)))
+    nodes, weights = quadrature.panel_rule(np.linspace(1e-9, T, int(2 * T) + 1), 8)
+    chf = np.ones_like(nodes)
+    for n in range(1, n0 + 1):
+        chf = chf * np.cos(lam**n * nodes)
+    kern = weights * chf / nodes
+    half = nodes <= T / 2
+    full, part = np.empty(len(xs)), np.empty(len(xs))
+    for i in range(0, len(xs), _INVERSION_ROWS):
+        sines = np.sin(np.outer(xs[i : i + _INVERSION_ROWS], nodes))
+        full[i : i + _INVERSION_ROWS] = 0.5 + (sines @ kern) / np.pi
+        part[i : i + _INVERSION_ROWS] = 0.5 + (sines[:, half] @ kern[half]) / np.pi
+    cdfs, errs = mu._cdf_inversion(xs)
+    assert np.array_equal(cdfs, full)
+    assert np.array_equal(errs, np.abs(full - part))
 
 
 def test_bernoulli_large_lambda_inversion_cdf():
