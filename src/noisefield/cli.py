@@ -11,6 +11,7 @@ error record goes to stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import multiprocessing
 import os
@@ -34,6 +35,7 @@ from .sets import BorelSet
 
 MIN_MC_SAMPLES = 100
 MAX_TRUNCATION = 1 << 15
+MAX_CUNTZ_CELLS = 1 << 24  # n^depth cells: a 128 MiB float64 diagonal
 
 
 class UsageError(Exception):
@@ -191,6 +193,8 @@ def _check_bounds(args):
     J = getattr(args, "J", None)
     if J is not None and not 1 <= J <= MAX_TRUNCATION:
         raise UsageError(f"--J must lie in [1, {MAX_TRUNCATION}]")
+    if args.workers is None:
+        return  # the library default
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
     if args.workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
@@ -262,6 +266,8 @@ def cmd_ifs_moments(args):
 
 def cmd_cuntz_check(args):
     system = parse_ifs(args.ifs)
+    if args.depth < 1 or system.n_branches**args.depth > MAX_CUNTZ_CELLS:
+        raise UsageError(f"--depth must be >= 1 with at most {MAX_CUNTZ_CELLS} cells n^depth")
     r1, r2 = ifs_mod.cuntz_relation_residual(system, args.depth)
     closed = ifs_mod.closedness_residual(system)
     desc = _descriptor(args, ifs=system.to_descriptor(), depth=args.depth)
@@ -389,9 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=True, N=None, J=False):
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--workers", type=int, default=1,
-                       help="processes for the Monte Carlo block loop (>= 1); artifacts are "
-                       "byte-identical for every count and it is not part of the descriptor")
+        p.add_argument("--workers", type=int, default=None,
+                       help="processes for the Monte Carlo block loop (>= 1; default: the "
+                       "CPUs this process may use); artifacts are byte-identical for every "
+                       "count and it is not part of the descriptor")
         if seed:
             p.add_argument("--seed", type=int, default=7)
         if N is not None:
@@ -506,7 +513,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_bounds(args)
-        with streams.workers(args.workers):
+        with contextlib.nullcontext() if args.workers is None else streams.workers(args.workers):
             args.func(args)
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

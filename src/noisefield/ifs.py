@@ -422,6 +422,8 @@ def cuntz_relation_residual(ifs: IteratedFunctionSystem, depth: int = 8):
     with e_i^2 on the rows of S_i.  The 2-norm of a diagonal matrix is its
     largest |entry|, so time and memory are O(n^d).
     """
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, not {depth}")
     n = ifs.n_branches
     probs = ifs.probabilities() if ifs.is_closed(tol=1e-9) else None
     cells = np.arange(n ** (depth - 1))

@@ -32,6 +32,8 @@ from .bases import OrthonormalBasis, default_truncation, make_basis
 from .measures import SigmaFiniteMeasure
 from .sets import BorelSet
 
+_COEFF_CACHE_SETS = 1024  # GaussianNoiseField keeps the coefficients of this many sets
+
 
 @dataclass(frozen=True)
 class UniversalSamplePoint:
@@ -73,10 +75,12 @@ class GaussianNoiseField:
     # -- coefficients ---------------------------------------------------------
 
     def coefficients(self, A: BorelSet) -> np.ndarray:
-        cached = self._coeff_cache.get(A.intervals)
+        cached = self._coeff_cache.pop(A.intervals, None)  # a dict keeps insertion order
         if cached is None:
             cached = self.basis.indicator_coefficients(A, self.J)
-            self._coeff_cache[A.intervals] = cached
+            if len(self._coeff_cache) >= _COEFF_CACHE_SETS:
+                del self._coeff_cache[next(iter(self._coeff_cache))]  # the least recently used
+        self._coeff_cache[A.intervals] = cached  # now the most recently used
         return cached
 
     def ito_coefficients(self, f) -> np.ndarray:

@@ -16,8 +16,10 @@ a ``block(row, m)`` that returns the values of m rows, each reduced on its
 own, so emitted samples (``emit_rows``) do not depend on the grid.
 ``mc_mean`` merges per-block (count, mean, M2) pairwise in block order (Chan,
 Golub & LeVeque 1983), so for it the grid is part of the replay contract.
-Under ``workers(k)``, a process-wide setting, both drivers run the blocks on
-k forked processes and take the results in block order, so k changes no byte.
+Both drivers run the blocks on the caller and k - 1 forked workers and take
+the results in block order, so k changes no byte.  k is the process's CPU
+count, or 1 where it has a live thread or no ``fork``, unless ``workers(k)``,
+a process-wide setting, fixes it.
 Every Gaussian functional is a function of finitely many linear forms <c, xi>:
 ``linear_forms`` computes them from a (k, J) coefficient array and draws only
 the union of the forms' nonzero columns, which is exact because every
@@ -38,6 +40,8 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import os
+import threading
 
 import numpy as np
 from scipy.special import ndtri
@@ -48,7 +52,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0xD6E8FEB86659FD93)
 _BLOCK_ROWS = 1 << 13
 _TILE_WORDS = 1 << 15  # 256 KiB per uint64 buffer
-_workers = 1  # set by ``workers``
+_workers = "auto"  # set by ``workers``
 _block = None  # the block a forked worker runs
 
 
@@ -232,19 +236,34 @@ def _run_block(span):
     return _block(*span)
 
 
+def _worker_count():
+    """``workers(k)`` if set, else the CPUs this process may use (1 if it cannot fork safely)."""
+    if _workers != "auto":
+        return _workers
+    # forking a process that has another live thread can deadlock the child
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _walk(n, block):
     """Yield ``((start, m), block(start, m))`` over the grid blocks of rows 0 .. n-1, in order.
 
-    Under ``workers(k)``, min(k, blocks) forked processes run the blocks (a
-    fork copies ``block``, so it needs no pickling); else they run here in turn.
+    With k = min(``_worker_count()``, blocks) > 1 the caller runs blocks i = 0 (mod k)
+    and k - 1 forked workers the rest (a fork copies ``block``, so it needs no
+    pickling); drivers nested in a block run in process.  Else all run here.
     """
     spans = [(start, min(_BLOCK_ROWS, n - start)) for start in range(0, n, _BLOCK_ROWS)]
-    k = min(_workers, len(spans))
+    k = min(_worker_count(), len(spans))
     if k <= 1:
         yield from zip(spans, (block(*span) for span in spans))
         return
-    with multiprocessing.get_context("fork").Pool(k, _bind, (block,)) as pool:
-        yield from zip(spans, pool.imap(_run_block, spans))
+    with multiprocessing.get_context("fork").Pool(k - 1, _bind, (block,)) as pool, workers(1):
+        theirs = pool.imap(_run_block, [span for i, span in enumerate(spans) if i % k])
+        for i, span in enumerate(spans):
+            yield span, next(theirs) if i % k else block(*span)
 
 
 def emit_rows(out, first, block):

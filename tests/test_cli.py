@@ -106,6 +106,16 @@ def test_cuntz_check_outputs_small_residuals(tmp_path):
     assert float(row[0]) < 1e-10 and float(row[1]) < 1e-10
 
 
+@pytest.mark.parametrize("ifs, depth", [("cantor", "0"), ("cantor", "-1"), ("cantor", "25"),
+                                        ("ifs:0.25,0;0.25,0.375;0.25,0.75:0.25,0.25,0.25", "16")])
+def test_cuntz_check_depth_out_of_range_is_a_usage_error(capsys, ifs, depth):
+    # depth < 1 has no cells; above 2^24 cells (2^25 and 3^16) the diagonal passes 128 MiB
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cuntz-check", "--ifs", ifs, "--depth", depth])
+    assert exit_info.value.code == 2
+    assert "--depth" in capsys.readouterr().err
+
+
 def test_boundary_embed_distance_table(tmp_path):
     out = tmp_path / "embed.csv"
     assert main(["boundary-embed", "--kernel", "brownian", "--points", "8", "--J", "4000",
@@ -183,13 +193,14 @@ def test_fbm_variance_table(tmp_path):
     ["bernoulli-density", "--lambda", "0.5", "--N", str(N_POOL), "--seed", "13"],
 ])
 def test_artifacts_identical_for_every_worker_count(tmp_path, argv):
+    # no --workers is the library default: the CPUs this process may use
     outputs = []
-    for workers in (1, 2, 3):
-        out = tmp_path / f"w{workers}.csv"
-        assert main(argv + ["--workers", str(workers), "--out", str(out)]) == 0
+    for flag in ([], ["--workers", "1"], ["--workers", "2"], ["--workers", "3"]):
+        out = tmp_path / f"w{len(outputs)}.csv"
+        assert main(argv + flag + ["--out", str(out)]) == 0
         assert not multiprocessing.active_children()
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
 def test_a_block_error_under_workers_exits_3_with_a_record(monkeypatch, capsys):

@@ -239,6 +239,12 @@ def test_relation_residuals_exact_systems(system):
     assert r1 < 1e-10 and r2 < 1e-10
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_relation_residual_rejects_depth_below_one(depth):
+    with pytest.raises(ValueError, match="depth must be at least 1"):
+        cuntz_relation_residual(cantor_system(), depth)
+
+
 def test_relation_residual_detects_non_closed():
     r1, r2 = cuntz_relation_residual(broken_pair(), depth=6)
     assert r2 >= abs(1 - 0.8) - 1e-12

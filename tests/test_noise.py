@@ -145,6 +145,18 @@ def test_coefficient_cache_serves_cylinder_words_and_plain_intervals_alike(name)
         assert len(field._coeff_cache) == 1
 
 
+def test_coefficient_cache_keeps_the_1024_most_recently_used_sets():
+    field = GaussianNoiseField(LebesgueMeasure(0, 1), J=4)
+    sets = [BorelSet.interval(0, (i + 1) / 1101) for i in range(1100)]
+    first = field.coefficients(sets[0])
+    for A in sets[1:]:
+        field.coefficients(A)
+        assert field.coefficients(sets[0]) is first  # a hit, and now the newest entry
+    assert len(field._coeff_cache) == 1024
+    assert sets[1].intervals not in field._coeff_cache
+    assert sets[-1].intervals in field._coeff_cache
+
+
 def test_sine_basis_realizes_lebesgue_noise():
     # increments of the path process give a second realization of interval
     # noise: same covariance structure as the polynomial route

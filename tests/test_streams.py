@@ -2,6 +2,7 @@ import functools
 import math
 import multiprocessing
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -375,10 +376,70 @@ def test_library_results_identical_for_every_worker_count(name):
     assert not multiprocessing.active_children()
 
 
+def _block_pids():
+    """The pid that ran each of the four grid blocks of an ``N_POOL``-row walk."""
+    pids = streams.emit_rows(np.empty(N_POOL), 0, lambda row, m: np.full(m, os.getpid()))
+    assert not multiprocessing.active_children()
+    return [pids[start] for start in range(0, N_POOL, 8192)]
+
+
 def test_blocks_run_outside_the_calling_process():
+    # The caller runs blocks i = 0 (mod k), k - 1 forked workers the rest.
+    for k in (2, 3):
+        with streams.workers(k):
+            pids = _block_pids()
+        assert [pid == os.getpid() for pid in pids] == [i % k == 0 for i in range(4)], k
+
+
+@pytest.mark.parametrize("cpus, owners", [
+    ({0}, [True] * 4),
+    ({0, 1, 2}, [True, False, False, True]),
+])
+def test_default_worker_count_is_the_cpu_affinity(monkeypatch, cpus, owners):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert [pid == os.getpid() for pid in _block_pids()] == owners
+
+
+def test_default_worker_count_needs_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _block_pids() == [os.getpid()] * 4
+
+
+def test_default_walk_runs_in_process_while_another_thread_lives(monkeypatch):
+    # forking a process that has another thread can deadlock the child
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    thread.start()
+    try:
+        pids = _block_pids()
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert pids == [os.getpid()] * 4
+
+
+def test_nested_drivers_in_the_callers_blocks_fork_no_second_pool(monkeypatch):
+    context = multiprocessing.get_context("fork")
+    pools = []
+
+    def counted_pool(*args, _original=context.Pool, **kwargs):
+        pools.append(args)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(context, "Pool", counted_pool)
+    inner = streams.linear_forms(5, [1.0, 0.5])
+
+    def block(row, m):
+        mean, _se = streams.mc_mean(2 * 8192 + 1, lambda r, k: inner(r, k)[:, 0])
+        return np.full(m, mean.real)
+
     with streams.workers(2):
-        pids = streams.emit_rows(np.empty(N_POOL), 0, lambda row, m: np.full(m, os.getpid()))
-    assert set(pids) - {os.getpid()}
+        streams.emit_rows(np.empty(N_POOL), 0, block)
+    assert len(pools) == 1
+    assert not multiprocessing.active_children()
 
 
 class BlockFailure(Exception):
