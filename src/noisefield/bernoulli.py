@@ -33,6 +33,7 @@ class BernoulliConvolution:
         self.lam = float(lam)
         self.stream_id = stream_id
         self.K = _series_terms(lam)
+        self._histogram = None  # (key, density) of the last ``_density_histogram`` call
 
     @property
     def support_radius(self) -> float:
@@ -50,6 +51,14 @@ class BernoulliConvolution:
             return streams.row_dot(streams.sign_matrix(sid, m, self.K, row), weights)
 
         return streams.emit_rows(np.empty(n), first, block)
+
+    def _density_histogram(self, n: int, bin_width: float) -> np.ndarray:
+        """Histogram density of the first n draws; the last one is kept, so reuses draw once."""
+        key = (self.lam, self.stream_id, n, bin_width)
+        if self._histogram is None or self._histogram[0] != key:
+            _, dens = histogram_density(self.sample(n), self.support_radius, bin_width)
+            self._histogram = key, dens
+        return self._histogram[1]
 
 
 def covariance(lam: float, rho: float) -> float:
@@ -119,11 +128,12 @@ def scaling_identity_residual(
 
     The density estimate is the histogram over n samples, extended by zero
     outside the support hull.  The Jacobian 1/lam balances total mass: both
-    sides integrate (in x) to 1/lam when weight = 1/2.
+    sides integrate (in x) to 1/lam when weight = 1/2.  Calls on one ``bc``
+    with the same n and bin width share one draw and histogram.
     """
     lam = bc.lam
     radius = bc.support_radius
-    _, dens = histogram_density(bc.sample(n), radius, bin_width)
+    dens = bc._density_histogram(n, bin_width)
     n_bins = len(dens)
 
     def lookup(x):

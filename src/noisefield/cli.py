@@ -282,16 +282,18 @@ def cmd_cuntz_check(args):
 def cmd_bernoulli_density(args):
     bc = bc_mod.BernoulliConvolution(args.lam, stream_id=args.seed)
     centers, hist, inv = bc_mod.density_estimate(bc, args.N, args.h, args.T)
-    desc = _descriptor(args, **{"lambda": args.lam, "h": args.h, "T": args.T})
+    params = {"lambda": args.lam, "h": args.h, "T": args.T}
+    desc = _descriptor(args, **params, stream_version=streams.COIN_STREAM_VERSION)
     _emit(args, desc, ["x", "histogram", "inversion"], list(zip(centers, hist, inv)))
 
 
 def cmd_bernoulli_scaling(args):
     bc = bc_mod.BernoulliConvolution(args.lam, stream_id=args.seed)
     rows = []
-    for w in args.weights:
+    for w in args.weights:  # the calls share one draw and histogram
         rows.append([w, bc_mod.scaling_identity_residual(bc, args.N, args.h, weight=w)])
-    desc = _descriptor(args, **{"lambda": args.lam, "h": args.h, "weights": args.weights})
+    params = {"lambda": args.lam, "h": args.h, "weights": args.weights}
+    desc = _descriptor(args, **params, stream_version=streams.COIN_STREAM_VERSION)
     _emit(args, desc, ["weight", "residual"], rows)
 
 

@@ -315,8 +315,9 @@ def chaos_game_sample(ifs: IteratedFunctionSystem, n, stream_id) -> np.ndarray:
 
     def block(row, m):
         u = streams.uniform_matrix(stream_id, m, depth, row)
-        digits = np.searchsorted(edges, u, side="left")
-        np.clip(digits, 0, len(probs) - 1, out=digits)
+        digits = np.zeros(u.shape, dtype=np.intp)  # branch i takes u in (edges[i-1], edges[i]]
+        for e in edges[:-1]:
+            digits += u > e
         x = np.full(m, 0.5 * (lo + hi))
         for k in range(depth - 1, -1, -1):
             d = digits[:, k]

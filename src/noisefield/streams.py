@@ -8,7 +8,11 @@ evaluation order.
 Uniform bits come from the SplitMix64 sequence (seed mixed once, then the
 64-bit counter walks the golden-ratio increment through the finalizer).
 Standard normals are produced by inverting the normal CDF (``ndtri``) on the
-53-bit uniform; the inversion is fixed across platforms.
+53-bit uniform; the inversion is fixed across platforms.  Fair +-1 coins are
+packed 64 to a word: coin k of a stream is bit k % 64 (least significant
+first) of its word k // 64, read through a little-endian byte view, so a
+series of K coins draws ceil(K / 64) words and no coin depends on the host's
+byte order.  Bit b gives the coin 1 - 2b.
 
 Sample row ``n`` of a stream is the per-sample substream ``substream(s, n)``.
 Samplers walk sample rows on one grid of ``_BLOCK_ROWS`` (2^13) rows through
@@ -28,7 +32,7 @@ coordinate is addressed by its index.
 Words are generated by one kernel, ``_fill``, which walks its output in tiles
 of about ``_TILE_WORDS`` (2^15) words, so that the word buffer stays in the
 L2 cache: it hashes a tile into a reused ``uint64`` buffer, runs the
-finalizer in place and writes the tile's uniforms, normals or signs straight
+finalizer in place and writes the tile's uniforms, normals or words straight
 into the output.  ``linear_forms`` walks each grid block in such tiles too.
 The tile is not part of the replay contract: every value is a pure function
 of its coordinate and every reduction runs row by row, so no tile size
@@ -51,6 +55,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0xD6E8FEB86659FD93)
 _BLOCK_ROWS = 1 << 13
+COIN_STREAM_VERSION = 2  # the packed coin layout; descriptors of coin-sampling outputs carry it
 _TILE_WORDS = 1 << 15  # 256 KiB per uint64 buffer
 _workers = "auto"  # set by ``workers``
 _block = None  # the block a forked worker runs
@@ -143,19 +148,26 @@ def _normal(words, out):
     return ndtri(_unit(words, out), out=out)
 
 
-def _sign(words, out):
-    np.bitwise_and(words, np.uint64(1), out=words)
-    np.copyto(out, words, casting="unsafe")
-    out *= -2.0
+def _word(words, out):
+    np.copyto(out, words)
+    return out
+
+
+def _coins(words, count) -> np.ndarray:
+    """+-1 coins 0 .. count-1 of each row of ``words``: coin k is bit k % 64 of word k // 64."""
+    octets = words.astype("<u8", copy=False).view(np.uint8)  # byte order fixed, not the host's
+    bits = np.unpackbits(octets, axis=-1, count=count, bitorder="little")
+    out = np.empty(bits.shape)
+    np.multiply(bits, -2.0, out=out)
     out += 1.0
     return out
 
 
-def _fill_rows(stream_id, first, n_rows, indices, finish) -> np.ndarray:
+def _fill_rows(stream_id, first, n_rows, indices, finish, dtype=float) -> np.ndarray:
     """(n_rows, len(indices)) values: row r reads the substream of sample ``first + r``."""
     rows = substream(stream_id, np.arange(first, first + n_rows, dtype=np.uint64))
     bases = _finalize(rows ^ _STREAM_SALT)
-    return _fill(bases, indices, np.empty((n_rows, len(indices))), finish)
+    return _fill(bases, indices, np.empty((n_rows, len(indices)), dtype), finish)
 
 
 def _fill(bases, indices, out, finish) -> np.ndarray:
@@ -194,14 +206,21 @@ def row_dot(mat, vec) -> np.ndarray:
 
 
 def signs(stream_id, indices) -> np.ndarray:
-    """Fair +-1 coins, one per coordinate index."""
-    words = bits(stream_id, indices)
-    return _sign(words, np.empty(words.shape))
+    """Fair +-1 coins at the given coin indices: coin k is bit k % 64 of word k // 64."""
+    idx = np.asarray(indices, dtype=np.uint64)
+    words = bits(stream_id, idx >> np.uint64(6))
+    return 1.0 - 2.0 * ((words >> (idx & np.uint64(63))) & np.uint64(1))
 
 
 def sign_matrix(stream_id, n_samples, n_coords, first_sample=0) -> np.ndarray:
-    """(n_samples, n_coords) array of fair +-1 coins, rows addressed like normal_matrix."""
-    return _fill_rows(stream_id, first_sample, n_samples, np.arange(n_coords), _sign)
+    """(n_samples, n_coords) array of fair +-1 coins, rows addressed like normal_matrix.
+
+    Row n is ``signs(substream(stream_id, n), arange(n_coords))``: it draws
+    only the ceil(n_coords / 64) words that hold its coins.
+    """
+    n_words = -(-n_coords // 64)
+    words = _fill_rows(stream_id, first_sample, n_samples, np.arange(n_words), _word, np.uint64)
+    return _coins(words, n_coords)
 
 
 def digit_matrix(stream_id, n_samples, n_coords, n_branches, first_sample=0) -> np.ndarray:

@@ -140,7 +140,7 @@ def test_self_similarity_in_law():
 
 def test_scaling_identity_uniform_case():
     bc = BernoulliConvolution(0.5, stream_id=10)
-    assert scaling_identity_residual(bc, 400_000, 0.01) < 0.05
+    assert scaling_identity_residual(bc, 1_000_000, 0.01) < 0.05
 
 
 def test_scaling_identity_exploratory_threshold():

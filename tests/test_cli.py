@@ -173,6 +173,26 @@ def test_fbm_variance_table(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["bernoulli-density", "--lambda", "0.5", "--N", "2000", "--seed", "3"],
+    ["bernoulli-scaling", "--lambda", "0.5", "--N", "2000", "--weights", "0.5,0.25", "--seed", "3"],
+])
+def test_coin_artifacts_carry_the_stream_version(tmp_path, argv):
+    out = tmp_path / "coins.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text().splitlines()[0][2:])["stream_version"] == 2
+
+
+def test_scaling_weights_share_one_draw(monkeypatch, tmp_path):
+    calls = []
+    sign_matrix = streams.sign_matrix
+    monkeypatch.setattr(streams, "sign_matrix", lambda *a: calls.append(a) or sign_matrix(*a))
+    argv = ["bernoulli-scaling", "--lambda", "0.5", "--N", "2000", "--weights", "0.5,0.25,0.125",
+            "--workers", "1", "--out", str(tmp_path / "scaling.csv")]
+    assert main(argv) == 0
+    assert len(calls) == 1  # 2000 rows are one grid block
+
+
+@pytest.mark.parametrize("argv", [
     ["covariance", "--measure", "lebesgue:0,1", "--A", "0,0.6", "--B", "0.4,1",
      "--N", "2000", "--seed", "11", "--J", "64"],
     ["sample-path", "--measure", "lebesgue:0,1", "--A", "0,0.6", "--N", "300", "--J", "32",

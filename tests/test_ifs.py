@@ -18,6 +18,7 @@ from noisefield import (
     invariant_moments,
     make_ifs,
     pushforward_system,
+    streams,
 )
 from noisefield.noise import GaussianNoiseField
 
@@ -148,6 +149,29 @@ def test_chaos_game_binary_mean():
 def test_chaos_game_replay():
     ifs = cantor_system()
     assert np.array_equal(chaos_game_sample(ifs, 100, 3), chaos_game_sample(ifs, 100, 3))
+
+
+def _searchsorted_chaos_game(system, n, stream_id):
+    """The chaos game with digits from ``searchsorted`` on the cumulative weights, clipped."""
+    depth = int(np.ceil(np.log(1e-15) / np.log(max(float(r) for r in system.ratios))))
+    probs = np.array([float(p) for p in system.probabilities()])
+    digits = np.searchsorted(np.cumsum(probs), streams.uniform_matrix(stream_id, n, depth))
+    digits = np.clip(digits, 0, len(probs) - 1)
+    ratios, shifts = system._affine_arrays()
+    x = np.full(n, 0.5 * sum(system.hull))
+    for k in range(depth - 1, -1, -1):
+        x = ratios[digits[:, k]] * x + shifts[digits[:, k]]
+    return x
+
+
+@pytest.mark.parametrize(
+    "system",
+    [cantor_system(), make_ifs([(0.2, 0.0), (0.2, 0.4), (0.2, 0.8)], [0.1, 0.2, 0.7])],
+    ids=["cantor", "three-branch-unequal"],
+)
+def test_chaos_game_digits_match_searchsorted_bit_for_bit(system):
+    n = 8192 + 300
+    assert np.array_equal(chaos_game_sample(system, n, 41), _searchsorted_chaos_game(system, n, 41))
 
 
 def test_chaos_game_requires_unit_weights():

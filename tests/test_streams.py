@@ -74,6 +74,37 @@ def test_signs_are_fair():
     assert abs(s.mean()) < 4 / np.sqrt(len(s))
 
 
+# -- the packed coin layout -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("K", [1, 63, 64, 65, 130])
+def test_sign_matrix_reads_coin_k_from_bit_k_mod_64_of_word_k_div_64(K):
+    s, m, first = 19, 4, 8190  # rows on both sides of a grid block boundary
+    mat = streams.sign_matrix(s, m, K, first)
+    assert mat.shape == (m, K)
+    for r in range(m):
+        sub = streams.substream(s, first + r)
+        want = [1 - 2 * ((int(streams.bits(sub, [k // 64])[0]) >> k % 64) & 1) for k in range(K)]
+        assert np.array_equal(mat[r], want)
+
+
+@pytest.mark.parametrize("K1, K2", [(1, 64), (47, 113), (64, 65), (63, 130)])
+def test_sign_rows_extend_in_place(K1, K2):
+    assert np.array_equal(streams.sign_matrix(5, 30, K1, 7), streams.sign_matrix(5, 30, K2, 7)[:, :K1])
+
+
+def test_signs_of_a_substream_are_its_sign_row():
+    mat = streams.sign_matrix(23, 6, 130, 40)
+    for n in range(6):
+        assert np.array_equal(streams.signs(streams.substream(23, 40 + n), np.arange(130)), mat[n])
+
+
+def test_every_coin_bit_position_is_balanced():
+    n = 40_000
+    means = streams.sign_matrix(29, n, 64).mean(axis=0)
+    assert np.abs(means).max() < 4 / np.sqrt(n)
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_digit_matrix_range_and_balance(k):
     d = streams.digit_matrix(7, 2000, 8, k)
