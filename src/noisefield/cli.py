@@ -23,6 +23,7 @@ import numpy as np
 from . import bernoulli as bc_mod
 from . import ifs as ifs_mod
 from . import kernels, noise, sigma, streams
+from .bases import LegendreBasis
 from .measures import (
     AtomicMeasure,
     BernoulliMeasure,
@@ -227,7 +228,10 @@ def cmd_ito_isometry(args):
     mu = parse_measure(args.measure)
     coeffs = parse_poly(args.poly)
     field = noise.GaussianNoiseField(mu, J=args.J)
-    forms = streams.linear_forms(args.seed, field.ito_coefficients(_poly_fn(coeffs)))
+    c = field.ito_coefficients(_poly_fn(coeffs))
+    if isinstance(field.basis, LegendreBasis):
+        c[len(coeffs) :] = 0.0  # phi_j has degree j and is orthogonal to every lower degree
+    forms = streams.linear_forms(args.seed, c)
     mean, (se, _) = streams.mc_mean(args.N, lambda row, m: forms(row, m)[:, 0] ** 2)
     target, _ = mu.integrate(_poly_fn(np.polynomial.polynomial.polymul(coeffs, coeffs)))
     desc = _descriptor(args, measure=mu.to_descriptor(), poly=coeffs, J=field.J)

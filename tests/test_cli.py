@@ -192,6 +192,28 @@ def test_scaling_weights_share_one_draw(monkeypatch, tmp_path):
     assert len(calls) == 1  # 2000 rows are one grid block
 
 
+@pytest.mark.parametrize("measure, poly, degrees", [
+    ("lebesgue:0,1", "0,1", [0, 1]),
+    ("lebesgue:0,1", "0,0,1", [0, 1, 2]),
+    ("density:0,1:1,2", "0,1", [0, 1]),
+])
+def test_ito_on_a_legendre_basis_draws_only_the_polynomial_degrees(
+    monkeypatch, tmp_path, measure, poly, degrees
+):
+    drawn = []
+    normal_matrix_at = streams.normal_matrix_at
+
+    def spy(stream_id, n, indices, first=0):
+        drawn.append(list(indices))
+        return normal_matrix_at(stream_id, n, indices, first)
+
+    monkeypatch.setattr(streams, "normal_matrix_at", spy)
+    argv = ["ito-isometry", "--measure", measure, "--poly", poly, "--N", "500", "--J", "64",
+            "--workers", "1", "--out", str(tmp_path / "ito.csv")]
+    assert main(argv) == 0
+    assert drawn and all(cols == degrees for cols in drawn)
+
+
 @pytest.mark.parametrize("argv", [
     ["covariance", "--measure", "lebesgue:0,1", "--A", "0,0.6", "--B", "0.4,1",
      "--N", "2000", "--seed", "11", "--J", "64"],
