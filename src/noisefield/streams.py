@@ -50,12 +50,13 @@ import threading
 import numpy as np
 from scipy.special import ndtri
 
+COIN_STREAM_VERSION = 2  # the packed coin layout; descriptors of coin-sampling outputs carry it
+
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0xD6E8FEB86659FD93)
 _BLOCK_ROWS = 1 << 13
-COIN_STREAM_VERSION = 2  # the packed coin layout; descriptors of coin-sampling outputs carry it
 _TILE_WORDS = 1 << 15  # 256 KiB per uint64 buffer
 _workers = "auto"  # set by ``workers``
 _block = None  # the block a forked worker runs
