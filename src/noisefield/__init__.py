@@ -38,7 +38,6 @@ from .ifs import (
 )
 from .bases import (
     AtomicBasis,
-    CompositeBasis,
     LegendreBasis,
     MixedBasis,
     OrthonormalBasis,

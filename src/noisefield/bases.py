@@ -19,18 +19,15 @@ Kinds and their exactness:
   Lebesgue noise through increments of the associated path process.
 * ``atomic-indicators`` -- normalized indicators of atoms.
 
-Density plus atoms: ``regular_basis`` is the one rule for the basis of a
-measure's density and atom parts, used by ``make_basis`` (after it rejects
-singular parts) and by ``sigma.SigmaLift``.  Its Legendre block lives on the
-hull of the parts that carry the density, not on the whole support, so an
-atom beyond the density's interval leaves the block well conditioned; atoms
-add an atom block, and both together make a composite basis.
-
-Wrappers: composite (density block plus atom block), piecewise (independent
-sub-bases on an interval partition, which diagonalize multiplication by
-piecewise-constant functions), transformed (an ONB of L2(mu) carried to
-L2(lambda) by multiplying with sqrt(d mu/d lambda)), and finite orthogonal
-mixes of the leading functions.
+Block sums: ``PiecewiseBasis`` takes the leading functions of sub-bases on
+disjoint supports block by block: a Legendre block per cell of an interval
+partition, or the blocks of ``regular_basis``, the one rule for the basis of
+a measure's density and atom parts (used by ``make_basis`` and
+``sigma.SigmaLift``): a Legendre block on each connected piece of the
+density's support, so a gap or a far atom leaves every block well
+conditioned, then an atom block.  Wrappers: transformed (an ONB of L2(mu)
+carried to L2(lambda) by multiplying with sqrt(d mu/d lambda)) and finite
+orthogonal mixes of the leading functions.
 
 Evaluation: ``evaluate_block(xs, J)``, the (len(xs), J) values of the first
 J functions, is the one evaluation every basis defines; ``evaluate(j, x)`` is
@@ -38,13 +35,12 @@ its column j.  Coefficient rules shared by several kinds live once on
 ``OrthonormalBasis``: a ``SimpleFunction`` pairs through its terms'
 indicator coefficients (Legendre and Walsh), and indicator coefficients by
 Gauss quadrature against the density serve weighted Legendre and transformed
-bases.  The composite basis splits its block, indicator and inner
-coefficients in one place, density block first, then atom block.
+bases.
 
 Grams: every kind but the sine family pairs its functions in one place,
 ``OrthonormalBasis.gram``, over the points and weights of its
 ``_pairing_rule`` (Gauss rules times the density, atoms and their masses,
-one point per Walsh cell, or the sub-bases' rules concatenated); Legendre
+one point per Walsh cell, or the blocks' rules concatenated); Legendre
 and transformed inner coefficients pair over the same rule.  The sine
 family pairs derivatives and keeps its own panel-quadrature gram.
 """
@@ -418,124 +414,103 @@ class AtomicBasis(OrthonormalBasis):
         return {"kind": self.kind, "measure": self.measure.to_descriptor()}
 
 
-class CompositeBasis(OrthonormalBasis):
-    """Density-part basis extended by atom indicators.
+class PiecewiseBasis(OrthonormalBasis):
+    """Sub-bases on disjoint supports, their leading functions taken block by block.
 
-    Functions in the continuous block take the value 0 at atoms by
-    convention, so the two blocks stay orthogonal in L2(mu).
+    Block k is (sub-basis, support (lo, hi], count): its first ``count``
+    functions at the points of the support, 0 elsewhere.  The constructor puts
+    a Legendre block on each cell of an interval partition, which diagonalizes
+    multiplication by piecewise-constant functions; ``from_blocks`` takes any
+    blocks.  An atom block makes the basis ``composite``; the other blocks
+    take the value 0 at its atoms, so the blocks stay orthogonal in L2(mu).
     """
 
-    kind = "composite"
-
-    def __init__(self, measure, density_basis: OrthonormalBasis, atomic_basis: AtomicBasis, split: int):
-        super().__init__(measure)
-        self.density_basis = density_basis
-        self.atomic_basis = atomic_basis
-        self.split = split
-
-    @property
-    def size(self):
-        return self.split + self.atomic_basis.size
-
-    def _split(self, J, part):
-        """``part(basis, n)`` of the density block's leading functions, then of the atom block's.
-
-        Joined along the last axis and C-ordered, so blocks multiply as
-        column-stacked ones do.
-        """
-        self._check_J(J)
-        parts = [part(self.density_basis, min(J, self.split))]
-        if J > self.split:
-            parts.append(part(self.atomic_basis, J - self.split))
-        return np.ascontiguousarray(np.concatenate(parts, axis=-1))
-
-    def evaluate_block(self, xs, J):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = self._split(J, lambda basis, n: basis.evaluate_block(xs, n))
-        out[self.atomic_basis.measure.atom_mass_at(xs) > 0, : self.split] = 0.0
-        return out
-
-    def indicator_coefficients(self, A, J):
-        return self._split(J, lambda basis, n: basis.indicator_coefficients(A, n))
-
-    def inner_coefficients(self, f, J):
-        return self._split(J, lambda basis, n: basis.inner_coefficients(f, n))
-
-    def _pairing_rule(self, n):
-        rules = [b._pairing_rule(n) for b in (self.density_basis, self.atomic_basis)]
-        return tuple(np.concatenate(parts) for parts in zip(*rules))
-
-    def to_descriptor(self):
-        return {"kind": self.kind, "measure": self.measure.to_descriptor(), "split": self.split}
-
-
-class PiecewiseBasis(OrthonormalBasis):
-    """Independent polynomial sub-bases on the pieces of an interval partition."""
-
-    kind = "piecewise-legendre"
-
     def __init__(self, measure, edges, per_piece: int = 8):
-        super().__init__(measure)
         edges = [float(e) for e in edges]
         lo, hi = measure.support_hull()
         if abs(edges[0] - lo) > 1e-12 or abs(edges[-1] - hi) > 1e-12:
             raise ValueError("partition must span the support hull")
         if measure.atoms() or measure.singular_parts():
             raise ValueError("piecewise basis needs an absolutely continuous measure")
-        self.edges = edges
-        self.per_piece = per_piece
         dens = measure.density_fn()
-        self.pieces = []
+        blocks = []
         for a, b in zip(edges[:-1], edges[1:]):
             if isinstance(measure, LebesgueMeasure):
                 piece_measure = LebesgueMeasure(a, b)
             else:
                 piece_measure = DensityMeasure(a, b, lambda x, d=dens: np.asarray(d(x), dtype=float))
-            self.pieces.append(LegendreBasis(piece_measure, quad_nodes=128))
+            blocks.append((LegendreBasis(piece_measure, quad_nodes=128), (a, b), per_piece))
+        self._set_blocks(measure, blocks)
+        self.per_piece = per_piece
+
+    @classmethod
+    def from_blocks(cls, measure, blocks) -> "PiecewiseBasis":
+        """The basis of ``(sub-basis, (lo, hi), count)`` blocks, in index order."""
+        basis = cls.__new__(cls)
+        basis._set_blocks(measure, blocks)
+        return basis
+
+    def _set_blocks(self, measure, blocks):
+        super().__init__(measure)
+        self.blocks = list(blocks)
+        self.pieces = [basis for basis, _, _ in self.blocks]
+        self._atom_block = next((b for b in self.pieces if isinstance(b, AtomicBasis)), None)
+        self.kind = "piecewise-legendre" if self._atom_block is None else "composite"
 
     @property
     def size(self):
-        return len(self.pieces) * self.per_piece
+        return sum(count for _, _, count in self.blocks)
 
-    def _piece_spans(self, J):
-        """(piece index, first index, count) of each piece's functions among the first J."""
+    def _spans(self, J):
+        """(sub-basis, support, first index, count) of each block's functions among the first J."""
         self._check_J(J)
-        for start in range(0, J, self.per_piece):
-            yield start // self.per_piece, start, min(self.per_piece, J - start)
+        start = 0
+        for basis, support, count in self.blocks:
+            if start < J:
+                yield basis, support, start, min(count, J - start)
+            start += count
 
     def evaluate_block(self, xs, J):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         out = np.zeros((len(xs), J))
-        for k, start, n in self._piece_spans(J):
-            inside = (xs > self.edges[k]) & (xs <= self.edges[k + 1])
+        atoms = self._atom_block
+        at_atom = None if atoms is None else atoms.measure.atom_mass_at(xs) > 0
+        for basis, (lo, hi), start, n in self._spans(J):
+            inside = (xs > lo) & (xs <= hi)
             if np.any(inside):
-                out[inside, start : start + n] = self.pieces[k].evaluate_block(xs[inside], n)
+                out[inside, start : start + n] = basis.evaluate_block(xs[inside], n)
+            if at_atom is not None and basis is not atoms:
+                out[at_atom, start : start + n] = 0.0
         return out
 
     def indicator_coefficients(self, A, J):
         out = np.zeros(J)
-        for k, start, n in self._piece_spans(J):
-            piece_A = A.clip(self.edges[k], self.edges[k + 1])
+        for basis, (lo, hi), start, n in self._spans(J):
+            piece_A = A.clip(lo, hi)
             if not piece_A.is_empty:
-                out[start : start + n] = self.pieces[k].indicator_coefficients(piece_A, n)
+                out[start : start + n] = basis.indicator_coefficients(piece_A, n)
         return out
 
     def inner_coefficients(self, f, J):
         out = np.zeros(J)
-        for k, start, n in self._piece_spans(J):
-            out[start : start + n] = self.pieces[k].inner_coefficients(f, n)
+        for basis, _, start, n in self._spans(J):
+            out[start : start + n] = basis.inner_coefficients(f, n)
         return out
 
     def _pairing_rule(self, n):
-        rules = [piece._pairing_rule(self.per_piece) for piece in self.pieces]
+        rules = [basis._pairing_rule(count) for basis, _, count in self.blocks]
         return tuple(np.concatenate(parts) for parts in zip(*rules))
 
     def multiplier_eigenvalues(self, piece_values) -> np.ndarray:
-        """Eigenvalues of multiplication by the piecewise-constant function."""
+        """Eigenvalues of multiplication by the function with one value per block."""
         vals = np.asarray(piece_values, dtype=float)
-        if len(vals) != len(self.pieces):
+        if len(vals) != len(self.blocks):
             raise ValueError("need one value per piece")
-        return np.repeat(vals, self.per_piece)
+        return np.repeat(vals, [count for _, _, count in self.blocks])
+
+    def to_descriptor(self):
+        blocks = [{"support": list(support), "count": count} for _, support, count in self.blocks]
+        return {"kind": self.kind, "measure": self.measure.to_descriptor(), "blocks": blocks}
 
 
 class TransformedBasis(OrthonormalBasis):
@@ -636,29 +611,50 @@ def make_basis(measure: SigmaFiniteMeasure, J: int | None = None) -> Orthonormal
 def regular_basis(measure: SigmaFiniteMeasure, J: int | None = None) -> OrthonormalBasis:
     """Basis of the measure's density and atom parts; singular parts are not read.
 
-    A Legendre block on the hull of the parts that carry the density, an atom
-    block, and a composite of the two, density block first, when there are
-    both; J is the intended index bound of the whole basis.
+    A Legendre block on each connected piece of the union of the hulls of the
+    parts that carry the density, then an atom block; a lone density block
+    without atoms is the basis itself.  J is the intended index bound of the
+    whole basis: its J - #atoms density functions (``DEFAULT_J["legendre"]``
+    when J is None) are shared equally by the pieces, the first taking the
+    remainder.
     """
     dens, atoms = measure.density_fn(), measure.atoms()
     if dens is None:
         return AtomicBasis(AtomicMeasure(atoms))
     if isinstance(measure, (LebesgueMeasure, DensityMeasure)):
-        density_basis = LegendreBasis(measure)
-    else:
-        density_basis = LegendreBasis(_density_component(dens, *_density_hull(measure)))
-    if not atoms:
-        return density_basis
-    split = DEFAULT_J["legendre"] if J is None else max(J - len(atoms), 1)
-    return CompositeBasis(measure, density_basis, AtomicBasis(AtomicMeasure(atoms)), split)
+        return LegendreBasis(measure)
+    pieces = _density_pieces(measure)
+    if len(pieces) == 1 and not atoms:
+        return LegendreBasis(_density_component(dens, *pieces[0]))
+    n_density = DEFAULT_J["legendre"] if J is None else J - len(atoms)
+    if n_density < len(pieces):
+        raise ValueError(
+            f"{len(pieces)} density pieces and {len(atoms)} atoms need J >= {len(pieces) + len(atoms)}"
+        )
+    share, extra = divmod(n_density, len(pieces))
+    blocks = [
+        (LegendreBasis(_density_component(dens, lo, hi)), (lo, hi), share + (k == 0) * extra)
+        for k, (lo, hi) in enumerate(pieces)
+    ]
+    if len(blocks) == 1:  # a lone density block is evaluated on the whole line, as a Legendre basis is
+        blocks[0] = (blocks[0][0], (-math.inf, math.inf), n_density)
+    if atoms:
+        blocks.append((AtomicBasis(AtomicMeasure(atoms)), (-math.inf, math.inf), len(atoms)))
+    return PiecewiseBasis.from_blocks(measure, blocks)
 
 
-def _density_hull(measure):
-    """Support hull of the parts of the measure that carry its density."""
+def _density_pieces(measure):
+    """Connected pieces, in order, of the union of the hulls of the parts carrying the density."""
     if not isinstance(measure, SumMeasure):
-        return measure.support_hull()
-    hulls = [_density_hull(m) for m in measure.components if m.density_fn() is not None]
-    return min(h[0] for h in hulls), max(h[1] for h in hulls)
+        return [measure.support_hull()]
+    carriers = [m for m in measure.components if m.density_fn() is not None]
+    pieces = []
+    for lo, hi in sorted(h for m in carriers for h in _density_pieces(m)):
+        if pieces and lo <= pieces[-1][1]:
+            pieces[-1] = (pieces[-1][0], max(pieces[-1][1], hi))
+        else:
+            pieces.append((lo, hi))
+    return pieces
 
 
 def _density_component(dens, lo, hi) -> DensityMeasure:

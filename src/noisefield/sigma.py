@@ -237,10 +237,7 @@ class CorrelatedPair:
 
     def cross_covariance_target(self, A: BorelSet) -> float:
         total = 0.0
-        for (a, b), val in zip(
-            zip(self.basis.edges[:-1], self.basis.edges[1:]),
-            self.rho[:: self.basis.per_piece],
-        ):
+        for (_, (a, b), _), val in zip(self.basis.blocks, self.rho[:: self.basis.per_piece]):
             piece_A = A.clip(a, b)
             if not piece_A.is_empty:
                 total += val * self.mu.measure_of(piece_A)

@@ -283,6 +283,39 @@ def test_composite_density_block_lives_on_the_density_hull():
     assert np.abs(field.basis.gram(16) - np.eye(16)).max() < 1e-12
 
 
+def test_density_with_a_gap_gets_a_block_per_piece():
+    mu = sum_measure(LebesgueMeasure(0, 1), LebesgueMeasure(2, 3))
+    field = GaussianNoiseField(mu, J=16)
+    c = field.coefficients(BorelSet.interval(0, 3))
+    assert abs(c @ c - 2.0) < 1e-12
+    assert np.abs(field.basis.gram(16) - np.eye(16)).max() < 1e-12
+    # an atom inside the gap adds its own block
+    with_atom = sum_measure(mu, AtomicMeasure([(1.5, 0.5)]))
+    field = GaussianNoiseField(with_atom, J=16)
+    for A in (BorelSet.interval(0, 3), BorelSet.interval(1, 2), BorelSet.interval(0, 2)):
+        c = field.coefficients(A)
+        assert abs(c @ c - with_atom.measure_of(A)) < 1e-12
+    assert np.abs(field.basis.gram(16) - np.eye(16)).max() < 1e-12
+    with pytest.raises(ValueError, match="J >= 2"):
+        make_basis(mu, J=1)
+    with pytest.raises(ValueError, match="J >= 3"):
+        make_basis(with_atom, J=2)
+
+
+def test_block_counts_in_the_descriptor():
+    gap = make_basis(sum_measure(LebesgueMeasure(0, 1), LebesgueMeasure(2, 3)), J=16)
+    counts = [block["count"] for block in gap.to_descriptor()["blocks"]]
+    assert counts == [8, 8] and sum(counts) == gap.size
+    # the remainder of the density functions goes to the first piece
+    odd = make_basis(sum_measure(LebesgueMeasure(0, 1), LebesgueMeasure(2, 3)), J=17)
+    assert [block["count"] for block in odd.to_descriptor()["blocks"]] == [9, 8]
+    composite = _basis_of_each_kind()["composite"]
+    desc = composite.to_descriptor()
+    assert desc["kind"] == "composite"
+    assert desc["blocks"][-1]["count"] == len(composite.measure.atoms())
+    assert sum(block["count"] for block in desc["blocks"]) == composite.size
+
+
 def test_change_of_basis_preserves_gram():
     rng = np.random.default_rng(3)
     U, _ = np.linalg.qr(rng.normal(size=(12, 12)))

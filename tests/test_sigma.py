@@ -238,11 +238,13 @@ def test_lift_of_nonoverlapping_random_series_law():
     assert space.lift(F, xi) == pytest.approx(xi.coords[0], abs=1e-12)
 
 
-def test_lift_rejects_density_family_with_a_gap():
-    # the pooled density vanishes on (1, 2]: its weighted Legendre basis is ill-conditioned
-    space = SigmaLift([LEB, LebesgueMeasure(2, 3)])
-    with pytest.raises(ValueError, match="degenerate"):
-        space.coefficients(SigmaFunction(const(1.0), LEB))
+def test_lift_expands_density_family_with_a_gap():
+    # the pooled density vanishes on (1, 2]: one Legendre block on each side of the gap
+    far = LebesgueMeasure(2, 3)
+    space = SigmaLift([LEB, far])
+    for F in (SigmaFunction(const(1.0), LEB), SigmaFunction(ident, far)):
+        c = space.coefficients(F)
+        assert abs(c @ c - inner_product(F, F)) < 1e-12
 
 
 ONE_MEASURE_FAMILIES = {
