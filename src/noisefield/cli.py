@@ -194,6 +194,9 @@ def _check_bounds(args):
     J = getattr(args, "J", None)
     if J is not None and not 1 <= J <= MAX_TRUNCATION:
         raise UsageError(f"--J must lie in [1, {MAX_TRUNCATION}]")
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed < 1 << 64:
+        raise UsageError("--seed must lie in [0, 2**64)")
     if args.workers is None:
         return  # the library default
     if args.workers < 1:
@@ -270,7 +273,8 @@ def cmd_ifs_moments(args):
 
 def cmd_cuntz_check(args):
     system = parse_ifs(args.ifs)
-    if args.depth < 1 or system.n_branches**args.depth > MAX_CUNTZ_CELLS:
+    n, cap = system.n_branches, MAX_CUNTZ_CELLS  # n >= 2, so n^d <= cap needs d < cap.bit_length()
+    if not 1 <= args.depth <= max(d for d in range(cap.bit_length()) if n**d <= cap):
         raise UsageError(f"--depth must be >= 1 with at most {MAX_CUNTZ_CELLS} cells n^depth")
     r1, r2 = ifs_mod.cuntz_relation_residual(system, args.depth)
     closed = ifs_mod.closedness_residual(system)

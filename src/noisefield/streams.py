@@ -79,6 +79,8 @@ def _finalize(z) -> np.ndarray:
 
 def _stream_base(stream_id) -> np.uint64:
     # whiten the stream id so that numerically adjacent ids give unrelated counters
+    if not 0 <= int(stream_id) < 1 << 64:
+        raise ValueError(f"stream id {stream_id} lies outside [0, 2**64)")
     return _finalize(np.uint64(stream_id) ^ _STREAM_SALT)[()]
 
 
@@ -222,12 +224,6 @@ def sign_matrix(stream_id, n_samples, n_coords, first_sample=0) -> np.ndarray:
     n_words = -(-n_coords // 64)
     words = _fill_rows(stream_id, first_sample, n_samples, np.arange(n_words), _word, np.uint64)
     return _coins(words, n_coords)
-
-
-def digit_matrix(stream_id, n_samples, n_coords, n_branches, first_sample=0) -> np.ndarray:
-    """(n_samples, n_coords) digits in {0..n_branches-1} drawn from the uniform stream."""
-    d = np.floor(uniform_matrix(stream_id, n_samples, n_coords, first_sample) * n_branches)
-    return np.minimum(d.astype(np.intp), n_branches - 1)
 
 
 # -- the sample-row grid ------------------------------------------------------

@@ -2,10 +2,11 @@ import json
 import multiprocessing
 import subprocess
 import sys
+import time
 
 import pytest
 
-from noisefield import streams
+from noisefield import cli, streams
 from noisefield.cli import UsageError, build_parser, main, parse_measure, parse_set
 
 N_POOL = 3 * 8192 + 5
@@ -114,6 +115,32 @@ def test_cuntz_check_depth_out_of_range_is_a_usage_error(capsys, ifs, depth):
         main(["cuntz-check", "--ifs", ifs, "--depth", depth])
     assert exit_info.value.code == 2
     assert "--depth" in capsys.readouterr().err
+
+
+def test_cuntz_check_huge_depth_is_a_usage_error_at_once(capsys):
+    # the guard must not build n^depth: 2^(2^64) does not fit in memory
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cuntz-check", "--ifs", "cantor", "--depth", str(2**64)])
+    assert exit_info.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "--depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_the_stream_ids(monkeypatch, capsys, seed):
+    argv = ["sample-path", "--measure", "lebesgue:0,1", "--A", "0,0.5", "--N", "100",
+            "--J", "8", "--seed", str(seed)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    # past the bounds check the stream layer rejects the id itself
+    monkeypatch.setattr(cli, "_check_bounds", lambda args: None)
+    assert main(argv) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ValueError"
+    assert "stream id" in record["error"]["message"]
 
 
 def test_boundary_embed_distance_table(tmp_path):

@@ -30,6 +30,12 @@ def test_replay_is_bit_identical():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("stream_id", [-1, 2**64])
+def test_stream_ids_outside_64_bits_are_rejected(stream_id):
+    with pytest.raises(ValueError, match="stream id"):
+        streams.normals(stream_id, 3)
+
+
 def test_offset_slices_agree_with_prefix():
     full = streams.normals(9, 500)
     tail = streams.normals(9, 300, offset=200)
@@ -103,14 +109,6 @@ def test_every_coin_bit_position_is_balanced():
     n = 40_000
     means = streams.sign_matrix(29, n, 64).mean(axis=0)
     assert np.abs(means).max() < 4 / np.sqrt(n)
-
-
-@pytest.mark.parametrize("k", [2, 3, 5])
-def test_digit_matrix_range_and_balance(k):
-    d = streams.digit_matrix(7, 2000, 8, k)
-    assert d.min() >= 0 and d.max() < k
-    freq = np.bincount(d.ravel(), minlength=k) / d.size
-    assert np.abs(freq - 1.0 / k).max() < 4 * np.sqrt(1.0 / (k * d.size))
 
 
 # -- the sample-row grid -----------------------------------------------------------
@@ -286,7 +284,6 @@ TILED = {
     "normal_matrix_at": lambda: streams.normal_matrix_at(3, 40, IDX, 8180),
     "uniform_matrix": lambda: streams.uniform_matrix(3, 40, 47, 11),
     "sign_matrix": lambda: streams.sign_matrix(3, 40, 47, 11),
-    "digit_matrix": lambda: streams.digit_matrix(3, 40, 47, 3, 11),
     **{f"emitter:{name}": functools.partial(emit, 100) for name, emit in EMITTERS.items()},
     "covariance_mc": lambda: FIELD.covariance_mc(A, B, 120, 1),
     "fourier_map_isometry": lambda: kernels.fourier_map_isometry(LEB, [A, B], [1.0, -0.5], 150, 17, J=8),
