@@ -2,7 +2,12 @@
 
 Fair +-1 coins come from the deterministic coordinate streams, so every
 sample is replayable and two series with different ratios can be coupled on
-one coin stream.  Closed forms implemented here: the covariance
+one coin stream.  ``sample`` reduces each row's packed coin words through
+per-byte tables of signed weight sums (``streams.sign_sums``, stream version
+3): for lam = 1/2 every partial sum is exact, for other lam the sums are
+regrouped and may move in the last bits from a term-by-term sum.
+``coupled_samples`` still reduces a +-1 matrix, which its several weight
+vectors share.  Closed forms implemented here: the covariance
 lam*rho/(1 - lam*rho) of coupled series, the cosine-product transform
 prod_n cos(lam^n t), and the geometric coefficient embedding into the
 zero-at-origin Hardy space.  Statistical outputs (histogram and
@@ -46,11 +51,7 @@ class BernoulliConvolution:
         """n independent draws; sample index addresses its own coin row."""
         sid = self.stream_id if stream_id is None else stream_id
         weights = self.lam ** np.arange(1, self.K + 1)
-
-        def block(row, m):
-            return streams.row_dot(streams.sign_matrix(sid, m, self.K, row), weights)
-
-        return streams.emit_rows(np.empty(n), first, block)
+        return streams.emit_rows(np.empty(n), first, streams.sign_sums(sid, weights))
 
     def _density_histogram(self, n: int, bin_width: float) -> np.ndarray:
         """Histogram density of the first n draws; the last one is kept, so reuses draw once."""

@@ -35,8 +35,12 @@ from .measures import (
 from .sets import BorelSet
 
 MIN_MC_SAMPLES = 100
+MAX_MC_SAMPLES = 1 << 30  # 2^17 grid blocks; a sample-path of this many rows is 8 GiB
 MAX_TRUNCATION = 1 << 15
 MAX_CUNTZ_CELLS = 1 << 24  # n^depth cells: a 128 MiB float64 diagonal
+MAX_PROXY_CUTOFF = 1e4  # ac2-proxy T: 2T Gauss panels of 8 nodes
+MAX_FBM_TIME = 100.0  # fbm-variance t: 3000 t / pi half-period panels of 24 nodes
+MAX_MOMENT_DEGREE = 64  # exact moments of high degree outgrow Python's int-to-str limit
 
 
 class UsageError(Exception):
@@ -189,8 +193,15 @@ def _descriptor(args, **extra) -> dict:
 
 def _check_bounds(args):
     n = getattr(args, "N", None)
-    if n is not None and n < MIN_MC_SAMPLES:
-        raise UsageError(f"--N must be at least {MIN_MC_SAMPLES}")
+    if n is not None and not MIN_MC_SAMPLES <= n <= MAX_MC_SAMPLES:
+        raise UsageError(f"--N must lie in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]")
+    for flag, hi in (("T_values", MAX_PROXY_CUTOFF), ("times", MAX_FBM_TIME)):
+        vals = getattr(args, flag, None)
+        if vals is not None and not all(v <= hi for v in vals):  # also rejects nan
+            raise UsageError(f"each value of --{flag.replace('_', '-')} must be at most {hi:g}")
+    degree = getattr(args, "degree", None)
+    if degree is not None and degree > MAX_MOMENT_DEGREE:
+        raise UsageError(f"--degree must be at most {MAX_MOMENT_DEGREE}")
     J = getattr(args, "J", None)
     if J is not None and not 1 <= J <= MAX_TRUNCATION:
         raise UsageError(f"--J must lie in [1, {MAX_TRUNCATION}]")
@@ -412,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=7)
         if N is not None:
-            p.add_argument("--N", type=int, default=N)
+            p.add_argument("--N", type=int, default=N,
+                           help=f"Monte Carlo samples, in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]")
         if J:
             p.add_argument("--J", type=int, default=None)
 
@@ -449,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ifs-moments", help="exact invariant-measure moments")
     p.add_argument("--ifs", required=True)
-    p.add_argument("--degree", type=int, default=8)
+    p.add_argument("--degree", type=int, default=8, help=f"at most {MAX_MOMENT_DEGREE}")
     common(p, seed=False)
     p.set_defaults(func=cmd_ifs_moments)
 
@@ -475,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ac2-proxy", help="square-integrability proxy curve")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--T-values", dest="T_values", type=_float_list, default=[50.0, 100.0, 200.0])
+    p.add_argument("--T-values", dest="T_values", type=_float_list, default=[50.0, 100.0, 200.0],
+                   help=f"cutoffs, each at most {MAX_PROXY_CUTOFF:g}")
     common(p, seed=False)
     p.set_defaults(func=cmd_ac2_proxy)
 
@@ -511,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fbm-variance", help="spectral variance scaling table")
     p.add_argument("--hurst", type=_float_list, default=[0.25, 0.5, 0.75])
-    p.add_argument("--times", type=_float_list, default=[1.0, 4.0])
+    p.add_argument("--times", type=_float_list, default=[1.0, 4.0],
+                   help=f"each at most {MAX_FBM_TIME:g}")
     common(p, seed=False)
     p.set_defaults(func=cmd_fbm_variance)
 

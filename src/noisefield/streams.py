@@ -12,7 +12,12 @@ Standard normals are produced by inverting the normal CDF (``ndtri``) on the
 packed 64 to a word: coin k of a stream is bit k % 64 (least significant
 first) of its word k // 64, read through a little-endian byte view, so a
 series of K coins draws ceil(K / 64) words and no coin depends on the host's
-byte order.  Bit b gives the coin 1 - 2b.
+byte order.  Bit b gives the coin 1 - 2b.  ``sign_sums`` reduces weighted
+coin series without forming the +-1 matrix: one 256-entry table per coin
+byte holds the signed sums of that byte's 8 weights, added in coin order, and
+a row's series is the sum of its bytes' table entries in byte order (version
+3 of the coin stream; the regrouped sums may move in the last bits, except
+for powers of 2, whose partial sums are exact).
 
 Sample row ``n`` of a stream is the per-sample substream ``substream(s, n)``.
 Samplers walk sample rows on one grid of ``_BLOCK_ROWS`` (2^13) rows through
@@ -50,7 +55,7 @@ import threading
 import numpy as np
 from scipy.special import ndtri
 
-COIN_STREAM_VERSION = 2  # the packed coin layout; descriptors of coin-sampling outputs carry it
+COIN_STREAM_VERSION = 3  # packed coins, byte-table sums; descriptors of coin-sampling outputs carry it
 
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -224,6 +229,56 @@ def sign_matrix(stream_id, n_samples, n_coords, first_sample=0) -> np.ndarray:
     n_words = -(-n_coords // 64)
     words = _fill_rows(stream_id, first_sample, n_samples, np.arange(n_words), _word, np.uint64)
     return _coins(words, n_coords)
+
+
+def _byte_tables(weights) -> np.ndarray:
+    """(ceil(K / 8), 256) tables: T[b, v] = sum_{i<8} (1 - 2 bit_i(v)) w[8b + i], in order of i.
+
+    Weights past K count as 0, so a byte holding coins K and beyond adds
+    nothing for them.
+    """
+    w = np.asarray(weights, dtype=float)
+    padded = np.zeros(-(-w.size // 8) * 8)
+    padded[: w.size] = w
+    padded = padded.reshape(-1, 8)
+    octet = np.arange(256)
+    table = np.zeros((len(padded), 256))
+    for i in range(8):
+        table += padded[:, i, None] * (1 - 2 * ((octet >> i) & 1))
+    return table
+
+
+def sign_sums(stream_id, weights):
+    """``block(row, m)``: sum_k s_k w_k over the coins s of sample rows ``row .. row + m - 1``.
+
+    The coins are ``sign_matrix``'s, but no +-1 matrix is formed.  Each coin
+    byte b of a row's words (``<u8`` byte view) looks up its 8 coins' signed
+    weight sum T[b, byte] in ``_byte_tables``, and a row's sum is
+    T[0, byte_0] + T[1, byte_1] + ..., added in order of b.  The words are
+    drawn in tiles of about ``_TILE_WORDS`` words and every sum runs row by
+    row, so the result depends on neither the block nor the tile size.  For
+    powers of 2 that span at most 53 binary places (lam = 1/2, K = 47) every
+    partial sum is exact, so the sums equal ``row_dot(sign_matrix(...),
+    weights)`` bit for bit; other weights may differ from it in the last bits.
+    """
+    table = _byte_tables(weights)
+    n_bytes = len(table)
+    word_idx = np.arange(-(-n_bytes // 8))
+    step = max(1, _TILE_WORDS // len(word_idx))
+
+    def block(row, m):
+        out = np.empty(m)
+        for r in range(0, m, step):
+            n = min(step, m - r)
+            words = _fill_rows(stream_id, row + r, n, word_idx, _word, np.uint64)
+            octets = words.astype("<u8", copy=False).view(np.uint8)  # byte order fixed
+            acc = out[r : r + n]
+            np.take(table[0], octets[:, 0], out=acc)
+            for b in range(1, n_bytes):
+                acc += table[b].take(octets[:, b])
+        return out
+
+    return block
 
 
 # -- the sample-row grid ------------------------------------------------------

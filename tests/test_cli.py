@@ -127,6 +127,28 @@ def test_cuntz_check_huge_depth_is_a_usage_error_at_once(capsys):
     assert "--depth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["ac2-proxy", "--lambda", "0.6", "--T-values", "inf"], "--T-values"),
+    (["ac2-proxy", "--lambda", "0.6", "--T-values", "50,1e308"], "--T-values"),
+    (["fbm-variance", "--times", "1e308"], "--times"),
+    (["fbm-variance", "--times", "1," + str(2**64)], "--times"),
+    (["fbm-variance", "--times", "nan"], "--times"),
+    (["covariance", "--measure", "lebesgue:0,1", "--A", "0,1", "--B", "0,1",
+      "--N", str(2**64), "--J", "8"], "--N"),
+    (["sample-path", "--measure", "lebesgue:0,1", "--A", "0,1", "--N", str(2**31)], "--N"),
+    (["ifs-moments", "--ifs", "cantor", "--degree", str(2**64)], "--degree"),
+    (["ifs-moments", "--ifs", "cantor", "--degree", "65"], "--degree"),
+])
+def test_sizes_past_their_bounds_are_usage_errors_at_once(capsys, argv, flag):
+    # each of these overflowed (exit 1) or ran without end before its bound
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    assert flag in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_the_stream_ids(monkeypatch, capsys, seed):
     argv = ["sample-path", "--measure", "lebesgue:0,1", "--A", "0,0.5", "--N", "100",
@@ -206,13 +228,18 @@ def test_fbm_variance_table(tmp_path):
 def test_coin_artifacts_carry_the_stream_version(tmp_path, argv):
     out = tmp_path / "coins.csv"
     assert main(argv + ["--out", str(out)]) == 0
-    assert json.loads(out.read_text().splitlines()[0][2:])["stream_version"] == 2
+    assert json.loads(out.read_text().splitlines()[0][2:])["stream_version"] == 3
 
 
 def test_scaling_weights_share_one_draw(monkeypatch, tmp_path):
     calls = []
-    sign_matrix = streams.sign_matrix
-    monkeypatch.setattr(streams, "sign_matrix", lambda *a: calls.append(a) or sign_matrix(*a))
+    sign_sums = streams.sign_sums
+
+    def counted(*args):
+        block = sign_sums(*args)
+        return lambda row, m: calls.append((row, m)) or block(row, m)
+
+    monkeypatch.setattr(streams, "sign_sums", counted)
     argv = ["bernoulli-scaling", "--lambda", "0.5", "--N", "2000", "--weights", "0.5,0.25,0.125",
             "--workers", "1", "--out", str(tmp_path / "scaling.csv")]
     assert main(argv) == 0

@@ -111,6 +111,76 @@ def test_every_coin_bit_position_is_balanced():
     assert np.abs(means).max() < 4 / np.sqrt(n)
 
 
+# -- coin series from per-byte tables -------------------------------------------------
+
+
+def table_sum(stream_id, row, weights):
+    """sum_k s_k w_k of one row by the byte-table rule, in plain Python floats.
+
+    T_b(v) adds (1 - 2 bit_i(v)) w[8b + i] for i = 0 .. 7 in order, with weights
+    past K taken as 0; the row adds T_b(byte b) for b = 0, 1, ... in order.
+    """
+    w = list(weights) + [0.0] * (-len(weights) % 8)
+    sub = streams.substream(stream_id, row)
+    total = 0.0
+    for b in range(len(w) // 8):
+        word = int(streams.bits(sub, [b // 8])[0])
+        octet = (word >> 8 * (b % 8)) & 0xFF
+        t = 0.0
+        for i in range(8):
+            t += (1 - 2 * ((octet >> i) & 1)) * w[8 * b + i]
+        total += t
+    return total
+
+
+SUM_K = [4, 7, 8, 9, 47, 63, 64, 65, 113, 130]
+
+
+@pytest.mark.parametrize("K", SUM_K)
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.75, 0.9])
+def test_sign_sums_follow_the_byte_table_rule(lam, K):
+    w = lam ** np.arange(1, K + 1)
+    first, m = 8190, 5  # rows on both sides of a grid block boundary
+    got = streams.sign_sums(19, w)(first, m)
+    assert got.tolist() == [table_sum(19, first + r, w) for r in range(m)]
+
+
+@pytest.mark.parametrize("K", SUM_K)
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.75, 0.9])
+def test_sign_sums_agree_with_the_sign_matrix(lam, K):
+    w = lam ** np.arange(1, K + 1)
+    first, m = 8150, 60
+    got = streams.sign_sums(19, w)(first, m)
+    want = streams.row_dot(streams.sign_matrix(19, m, K, first), w)
+    if lam == 0.5 and K <= 53:
+        # dyadic weights spanning at most 53 binary places: every partial sum is exact
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() < 1e-14
+
+
+def test_dyadic_bernoulli_samples_equal_the_coin_matrix_sums():
+    bc = bernoulli.BernoulliConvolution(0.5, stream_id=31)
+    w = 0.5 ** np.arange(1, bc.K + 1)
+    want = streams.row_dot(streams.sign_matrix(31, 9000, bc.K, 17), w)
+    assert np.array_equal(bc.sample(9000, 17), want)
+
+
+def test_bernoulli_sample_forms_no_coin_matrix():
+    # At lam = 0.99 (K = 3208) one grid block of +-1 coins is an 8192 x 3208
+    # float matrix, 210 MB, and its weighted product another.
+    bc = bernoulli.BernoulliConvolution(0.99, stream_id=2)
+    assert bc.K == 3208
+    tracemalloc.start()
+    try:
+        with streams.workers(1):
+            bc.sample(8192)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 # -- the sample-row grid -----------------------------------------------------------
 
 LEB = LebesgueMeasure(0, 1)
@@ -284,6 +354,7 @@ TILED = {
     "normal_matrix_at": lambda: streams.normal_matrix_at(3, 40, IDX, 8180),
     "uniform_matrix": lambda: streams.uniform_matrix(3, 40, 47, 11),
     "sign_matrix": lambda: streams.sign_matrix(3, 40, 47, 11),
+    "sign_sums": lambda: streams.sign_sums(3, 0.75 ** np.arange(1, 131))(11, 40),
     **{f"emitter:{name}": functools.partial(emit, 100) for name, emit in EMITTERS.items()},
     "covariance_mc": lambda: FIELD.covariance_mc(A, B, 120, 1),
     "fourier_map_isometry": lambda: kernels.fourier_map_isometry(LEB, [A, B], [1.0, -0.5], 150, 17, J=8),
