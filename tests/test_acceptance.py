@@ -282,6 +282,8 @@ ACCEPTANCE_RUNS = [
     ["cuntz-check", "--ifs", "cantor", "--depth", "8", "--out", "cuntz.csv"],
     ["bernoulli-density", "--lambda", "0.5", "--N", "20000", "--h", "0.05", "--seed", "11",
      "--out", "density.csv"],
+    ["bernoulli-density", "--lambda", "0.75", "--N", "20000", "--h", "0.05", "--seed", "11",
+     "--out", "density-0.75.csv"],
     ["bernoulli-scaling", "--lambda", "0.5", "--N", "20000", "--h", "0.05",
      "--weights", "0.5,0.3333333333333333", "--seed", "13", "--out", "scaling.csv"],
     ["ac2-proxy", "--lambda", "0.5", "--T-values", "50,100,200", "--out", "proxy.csv"],
