@@ -94,11 +94,22 @@ def fourier_transform(lam: float, t, n_factors: int):
     return out, tail
 
 
+def _cutoff_panels(lam, cutoff, name):
+    """Product terms and panel edges of a cosine-product integral over [0, cutoff].
+
+    The product keeps the terms with lam^n cutoff above 1e-8; the panels are
+    max(2 cutoff, 64) equal pieces of [0, cutoff].
+    """
+    if not (cutoff > 0.0 and math.isfinite(2.0 * cutoff)):
+        raise ValueError(f"{name} must be positive with 2 {name} finite, got {cutoff}")
+    n0 = int(math.ceil(math.log(cutoff / 1e-8) / math.log(1.0 / lam)))
+    return n0, np.linspace(0.0, cutoff, max(int(2 * cutoff), 64) + 1)
+
+
 def inversion_density(lam: float, xs, cutoff: float = 200.0) -> np.ndarray:
     """Density estimate from inverting the cosine product over |t| <= cutoff."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    n0 = int(math.ceil(math.log(cutoff / 1e-8) / math.log(1.0 / lam)))
-    edges = np.linspace(0.0, cutoff, max(int(2 * cutoff), 64) + 1)
+    n0, edges = _cutoff_panels(lam, cutoff, "cutoff")
     tq, wq = quadrature.panel_rule(edges, _INVERSION_NODES)
     chf, _ = fourier_transform(lam, tq, n0)
     return np.cos(np.outer(xs, tq)) @ (wq * chf) / np.pi
@@ -160,8 +171,7 @@ def ac2_l2_proxy(lam: float, T: float) -> float:
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
-    n0 = int(math.ceil(math.log(T / 1e-8) / math.log(1.0 / lam)))
-    edges = np.linspace(0.0, T, max(int(2 * T), 64) + 1)
+    n0, edges = _cutoff_panels(lam, T, "T")
 
     def integrand(t):
         prod, _ = fourier_transform(lam, t, n0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -41,6 +42,8 @@ MAX_CUNTZ_CELLS = 1 << 24  # n^depth cells: a 128 MiB float64 diagonal
 MAX_PROXY_CUTOFF = 1e4  # ac2-proxy T: 2T Gauss panels of 8 nodes
 MAX_FBM_TIME = 100.0  # fbm-variance t: 3000 t / pi half-period panels of 24 nodes
 MAX_MOMENT_DEGREE = 64  # exact moments of high degree outgrow Python's int-to-str limit
+MAX_DENSITY_BINS = 1 << 20  # bernoulli --h: 2 lambda / ((1 - lambda) h) histogram bins
+MAX_INVERSION_COSINES = 1 << 24  # bernoulli-density: bins x 24 T cosines, 0.4 s and 0.3 GB
 
 
 class UsageError(Exception):
@@ -199,6 +202,9 @@ def _check_bounds(args):
         vals = getattr(args, flag, None)
         if vals is not None and not all(v <= hi for v in vals):  # also rejects nan
             raise UsageError(f"each value of --{flag.replace('_', '-')} must be at most {hi:g}")
+    h = getattr(args, "h", None)
+    if h is not None:
+        _check_density_grid(args.lam, h, getattr(args, "T", None))
     degree = getattr(args, "degree", None)
     if degree is not None and degree > MAX_MOMENT_DEGREE:
         raise UsageError(f"--degree must be at most {MAX_MOMENT_DEGREE}")
@@ -214,6 +220,31 @@ def _check_bounds(args):
         raise UsageError("--workers must be >= 1")
     if args.workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
         raise UsageError("--workers above 1 needs the fork start method")
+
+
+def _check_density_grid(lam, h, T):
+    """Bound the Bernoulli histogram bins and, with a cutoff T, the inversion's cosines.
+
+    The histogram has 2 lambda / ((1 - lambda) h) bins, and the inversion
+    forms a bins x 24 T cosine matrix (12 Gauss nodes on each of 2T panels).
+    A lambda outside (0, 1) is left to the library to reject.
+    """
+    if not 0.0 < h < math.inf:  # also rejects nan
+        raise UsageError("--h must be positive and finite")
+    if not 0.0 < lam < 1.0:
+        return
+    bins = 2.0 * lam / (1.0 - lam) / h
+    if not 1.0 <= bins <= MAX_DENSITY_BINS:
+        raise UsageError(f"--h must give between 1 and {MAX_DENSITY_BINS} bins "
+                         f"2 lambda / ((1 - lambda) h); it gives {bins:.4g}")
+    if T is None:
+        return
+    if not 0.0 < T < math.inf:
+        raise UsageError("--T must be positive and finite")
+    cosines = bins * 24.0 * max(T, 32.0)  # the inversion keeps at least 64 panels
+    if cosines > MAX_INVERSION_COSINES:
+        raise UsageError(f"--T and --h give {bins:.4g} bins x 24 max(T, 32) = {cosines:.4g} "
+                         f"inversion cosines; at most {MAX_INVERSION_COSINES} are allowed")
 
 
 # -- subcommand bodies ------------------------------------------------------------
@@ -471,16 +502,18 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)
     p.set_defaults(func=cmd_cuntz_check)
 
+    h_help = f"bin width, > 0, giving 1 to {MAX_DENSITY_BINS} bins 2 lambda / ((1 - lambda) h)"
     p = sub.add_parser("bernoulli-density", help="histogram and inversion densities")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--h", type=float, default=0.01)
-    p.add_argument("--T", type=float, default=200.0)
+    p.add_argument("--h", type=float, default=0.01, help=h_help)
+    p.add_argument("--T", type=float, default=200.0, help="inversion cutoff, > 0, with bins x "
+                   f"24 max(T, 32) at most {MAX_INVERSION_COSINES}")
     common(p, N=1_000_000)
     p.set_defaults(func=cmd_bernoulli_density)
 
     p = sub.add_parser("bernoulli-scaling", help="scaling-law residuals")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--h", type=float, default=0.01)
+    p.add_argument("--h", type=float, default=0.01, help=h_help)
     p.add_argument("--weights", type=_float_list, default=[0.5])
     common(p, N=1_000_000)
     p.set_defaults(func=cmd_bernoulli_scaling)

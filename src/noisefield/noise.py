@@ -245,14 +245,18 @@ def fbm_spectral_integral(H: float, t: float):
     """
     if not 0.0 < H < 1.0:
         raise ValueError("Hurst index must lie in (0, 1)")
-    if not t > 0.0:
-        raise ValueError("need t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     s = 2.0 * H + 1.0
     eps = 1.0 / t
     series = 0.0
     term_bound = np.inf
     for m in range(1, 80):
-        term = 2.0 * (-1) ** (m + 1) * t ** (2 * m) * eps ** (2 * m - 2.0 * H) / (
+        try:
+            power = t ** (2 * m)
+        except OverflowError:
+            raise ValueError(f"t = {t} is too large: t^{2 * m} overflows the origin series") from None
+        term = 2.0 * (-1) ** (m + 1) * power * eps ** (2 * m - 2.0 * H) / (
             math.factorial(2 * m) * (2 * m - 2.0 * H)
         )
         series += term

@@ -175,6 +175,15 @@ def test_proxy_keeps_growing_for_golden_inverse():
     assert b > a + 1e-3
 
 
+@pytest.mark.parametrize("T", [float("inf"), 1e308, float("nan"), 0.0])
+def test_proxy_rejects_cutoffs_without_a_panel_grid(T):
+    # inf and 1e308 overflowed int(2 T) with an OverflowError
+    with pytest.raises(ValueError, match="T must be positive with 2 T finite"):
+        ac2_l2_proxy(0.6, T)
+    with pytest.raises(ValueError, match="cutoff must be positive"):
+        inversion_density(0.6, [0.0], T)
+
+
 # -- coefficient embedding ----------------------------------------------------------------
 
 

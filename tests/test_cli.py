@@ -138,9 +138,20 @@ def test_cuntz_check_huge_depth_is_a_usage_error_at_once(capsys):
     (["sample-path", "--measure", "lebesgue:0,1", "--A", "0,1", "--N", str(2**31)], "--N"),
     (["ifs-moments", "--ifs", "cantor", "--degree", str(2**64)], "--degree"),
     (["ifs-moments", "--ifs", "cantor", "--degree", "65"], "--degree"),
+    (["bernoulli-density", "--lambda", "0.5", "--T", "inf"], "--T"),
+    (["bernoulli-density", "--lambda", "0.5", "--T", "1e308"], "--T"),
+    (["bernoulli-density", "--lambda", "0.5", "--T", "nan"], "--T"),
+    (["bernoulli-density", "--lambda", "0.75", "--T", "1200"], "--T"),
+    (["bernoulli-density", "--lambda", "0.5", "--h", "0"], "--h"),
+    (["bernoulli-density", "--lambda", "0.5", "--h", "nan"], "--h"),
+    (["bernoulli-density", "--lambda", "0.5", "--h", "-1"], "--h"),
+    (["bernoulli-density", "--lambda", "0.5", "--h", "1e-300"], "--h"),
+    (["bernoulli-scaling", "--lambda", "0.5", "--h", "0"], "--h"),
+    (["bernoulli-scaling", "--lambda", "0.5", "--h", "inf"], "--h"),
 ])
 def test_sizes_past_their_bounds_are_usage_errors_at_once(capsys, argv, flag):
-    # each of these overflowed (exit 1) or ran without end before its bound
+    # each of these overflowed (exit 1), failed inside numpy (exit 3) or ran
+    # without end before its bound
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exit_info:
         main(argv)

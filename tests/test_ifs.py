@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from noisefield import (
     pushforward_system,
     streams,
 )
+from noisefield import ifs as ifs_module
 from noisefield.noise import GaussianNoiseField
 
 
@@ -151,27 +153,97 @@ def test_chaos_game_replay():
     assert np.array_equal(chaos_game_sample(ifs, 100, 3), chaos_game_sample(ifs, 100, 3))
 
 
+THREE_BRANCH = make_ifs([(0.2, 0.0), (0.2, 0.4), (0.2, 0.8)], [0.1, 0.2, 0.7])
+
+
 def _searchsorted_chaos_game(system, n, stream_id):
-    """The chaos game with digits from ``searchsorted`` on the cumulative weights, clipped."""
+    """The chaos game on G-digit words, by plain ``searchsorted`` and a word-by-word loop.
+
+    Word g of a row is the clipped ``searchsorted`` code of uniform g in the
+    cumulative word masses; it maps x to R[c] x + S[c], innermost word first.
+    """
+    k = system.n_branches
+    word = max(g for g in range(1, 9) if g == 1 or k**g <= 256)
     depth = int(np.ceil(np.log(1e-15) / np.log(max(float(r) for r in system.ratios))))
-    probs = np.array([float(p) for p in system.probabilities()])
-    digits = np.searchsorted(np.cumsum(probs), streams.uniform_matrix(stream_id, n, depth))
-    digits = np.clip(digits, 0, len(probs) - 1)
-    ratios, shifts = system._affine_arrays()
-    x = np.full(n, 0.5 * sum(system.hull))
-    for k in range(depth - 1, -1, -1):
-        x = ratios[digits[:, k]] * x + shifts[digits[:, k]]
-    return x
+    groups = -(-depth // word)
+    u = streams.uniform_matrix(stream_id, n, groups)
+    codes = np.searchsorted(np.cumsum(system.cylinder_masses(word)), u)
+    codes = np.clip(codes, 0, k**word - 1)
+    ratios, _ = system._affine_arrays()
+    R = np.ones(k**word)
+    for j in range(word):  # same product order as cylinder_masses: innermost digit last
+        R = ratios[(np.arange(k**word) // k**j) % k] * R
+    S = system.cell_images(word, 0.0)
+    lo, hi = system.hull
+    x = np.full(n, 0.5 * (lo + hi))
+    for g in range(groups - 1, -1, -1):
+        x = R[codes[:, g]] * x + S[codes[:, g]]
+    return np.clip(x, lo, hi)
 
 
 @pytest.mark.parametrize(
     "system",
-    [cantor_system(), make_ifs([(0.2, 0.0), (0.2, 0.4), (0.2, 0.8)], [0.1, 0.2, 0.7])],
-    ids=["cantor", "three-branch-unequal"],
+    [cantor_system(), binary_system(), THREE_BRANCH],
+    ids=["cantor", "binary", "three-branch-unequal"],
 )
 def test_chaos_game_digits_match_searchsorted_bit_for_bit(system):
     n = 8192 + 300
     assert np.array_equal(chaos_game_sample(system, n, 41), _searchsorted_chaos_game(system, n, 41))
+
+
+@pytest.mark.parametrize("buckets", [1, 1 << 16])
+@pytest.mark.parametrize("system", [cantor_system(), THREE_BRANCH], ids=["cantor", "three-branch"])
+def test_chaos_game_guide_table_size_moves_no_byte(monkeypatch, system, buckets):
+    monkeypatch.setattr(ifs_module, "_guide_buckets", lambda n_codes: buckets)
+    n = 8192 + 300
+    assert np.array_equal(chaos_game_sample(system, n, 41), _searchsorted_chaos_game(system, n, 41))
+
+
+def test_chaos_game_depth_nine_cylinders_span_two_words():
+    # Cantor words have 8 digits, so digit 9 comes from a second uniform.
+    n = 1 << 17
+    codes = cantor_system().digits(chaos_game_sample(cantor_system(), n, 12), 9) @ (2 ** np.arange(9))
+    freq = np.bincount(codes, minlength=512) / n
+    p = 2.0**-9
+    assert np.all(np.abs(freq - p) < 4 * np.sqrt(p * (1 - p) / n))
+
+
+def test_chaos_game_three_branch_depth_two_cylinders():
+    n = 1 << 16
+    d = THREE_BRANCH.digits(chaos_game_sample(THREE_BRANCH, n, 13), 2)
+    freq = np.bincount(3 * d[:, 0] + d[:, 1], minlength=9) / n
+    probs = np.array([0.1, 0.2, 0.7])
+    p = np.outer(probs, probs).ravel()
+    assert np.all(np.abs(freq - p) < 4 * np.sqrt(p * (1 - p) / n))
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        make_ifs([(Fraction(1, 3), 0), (Fraction(1, 3), Fraction(2, 3))], weights)
+        for weights in ([Fraction(1, 1000), Fraction(999, 1000)], [Fraction(999, 1000), Fraction(1, 1000)])
+    ]
+    + [THREE_BRANCH],
+    ids=["cantor-light-left", "cantor-light-right", "three-branch-unequal"],
+)
+def test_chaos_game_points_stay_in_the_hull(system):
+    lo, hi = system.hull
+    pts = chaos_game_sample(system, 100_000, 14)
+    assert lo <= pts.min() and pts.max() <= hi
+
+
+@pytest.mark.parametrize(
+    "system, digest",
+    [
+        (cantor_system(), "67599a3cf23ad2bbd6461cd5f5c57303c91362cd4b10b01a18a5c2a00f22545c"),
+        (THREE_BRANCH, "89dda108a9d43bf835ccae6b7fa99887baadce61ccdd660094c95f2ddacb6db7"),
+    ],
+    ids=["cantor", "three-branch"],
+)
+def test_chaos_game_layout_is_pinned(system, digest):
+    # A change to the word layout must change this digest deliberately.
+    pts = chaos_game_sample(system, 8192 + 300, 41)
+    assert hashlib.sha256(pts.astype("<f8").tobytes()).hexdigest() == digest
 
 
 def test_chaos_game_requires_unit_weights():

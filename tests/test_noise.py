@@ -466,3 +466,10 @@ def test_fbm_domain_validation():
         fbm_spectral_integral(1.5, 1.0)
     with pytest.raises(ValueError):
         fbm_spectral_integral(0.5, -1.0)
+
+
+@pytest.mark.parametrize("t", [1e308, float("inf"), float("nan")])
+def test_fbm_rejects_times_the_series_cannot_hold(t):
+    # 1e308 overflowed t^2 with an OverflowError
+    with pytest.raises(ValueError, match="t "):
+        fbm_increment_variance(0.5, t)
