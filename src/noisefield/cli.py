@@ -11,6 +11,7 @@ error record goes to stderr).
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import json
 import math
@@ -44,6 +45,8 @@ MAX_FBM_TIME = 100.0  # fbm-variance t: 3000 t / pi half-period panels of 24 nod
 MAX_MOMENT_DEGREE = 64  # exact moments of high degree outgrow Python's int-to-str limit
 MAX_DENSITY_BINS = 1 << 20  # bernoulli --h: 2 lambda / ((1 - lambda) h) histogram bins
 MAX_INVERSION_COSINES = 1 << 24  # bernoulli-density: bins x 24 T cosines, 0.4 s and 0.3 GB
+MAX_SZEGO_NODES = 1 << 20  # szego-check: 25 trapezoid sums of this many nodes, 3.4 s and 121 MB
+MAX_EMBED_POINTS = 512  # boundary-embed: points^2 / 2 distance rows, 5.5 s and 173 MB
 
 
 class UsageError(Exception):
@@ -121,9 +124,12 @@ def parse_set(text: str, measure=None) -> BorelSet:
 
 def parse_poly(text: str):
     try:
-        return [float(c) for c in text.split(",")]
+        coeffs = [float(c) for c in text.split(",")]
     except Exception as exc:
         raise UsageError(f"malformed polynomial coefficients {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, coeffs)):
+        raise UsageError(f"polynomial coefficients {text!r} must be finite")
+    return coeffs
 
 
 def _poly_fn(coeffs):
@@ -202,9 +208,15 @@ def _check_bounds(args):
         vals = getattr(args, flag, None)
         if vals is not None and not all(v <= hi for v in vals):  # also rejects nan
             raise UsageError(f"each value of --{flag.replace('_', '-')} must be at most {hi:g}")
+    weights = getattr(args, "weights", None)
+    if weights is not None and not all(0.0 <= w <= 1.0 for w in weights):  # also rejects nan
+        raise UsageError("each value of --weights must lie in [0, 1]")
     h = getattr(args, "h", None)
     if h is not None:
         _check_density_grid(args.lam, h, getattr(args, "T", None))
+    nodes = getattr(args, "nodes", None)
+    if nodes is not None and not 1 <= nodes <= MAX_SZEGO_NODES:
+        raise UsageError(f"--nodes must lie in [1, {MAX_SZEGO_NODES}]")
     degree = getattr(args, "degree", None)
     if degree is not None and degree > MAX_MOMENT_DEGREE:
         raise UsageError(f"--degree must be at most {MAX_MOMENT_DEGREE}")
@@ -354,6 +366,8 @@ def cmd_ac2_proxy(args):
 
 
 def cmd_boundary_embed(args):
+    if not 0 <= args.points <= MAX_EMBED_POINTS:  # julia-kernel's --points is a string
+        raise UsageError(f"--points must lie in [0, {MAX_EMBED_POINTS}]")
     if args.kernel == "brownian":
         kernel = kernels.BrownianKernel()
         points = list(np.linspace(0.0, 1.0, args.points))
@@ -384,7 +398,12 @@ def cmd_szego_check(args):
 
 
 def cmd_julia_kernel(args):
-    points = [complex(p) for p in args.points.split(";")]
+    try:
+        points = [complex(p) for p in args.points.split(";")]
+    except ValueError as exc:
+        raise UsageError(f"malformed --points {args.points!r}: {exc}") from exc
+    if not all(map(cmath.isfinite, points)):
+        raise UsageError(f"--points {args.points!r} must be finite")
     verdicts = [kernels.julia_membership(z) for z in points]
     rows = [[_fmt(z), v] for z, v in zip(points, verdicts)]
     members = [z for z, v in zip(points, verdicts) if v == kernels.INSIDE]
@@ -514,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bernoulli-scaling", help="scaling-law residuals")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--h", type=float, default=0.01, help=h_help)
-    p.add_argument("--weights", type=_float_list, default=[0.5])
+    p.add_argument("--weights", type=_float_list, default=[0.5], help="each in [0, 1]")
     common(p, N=1_000_000)
     p.set_defaults(func=cmd_bernoulli_scaling)
 
@@ -527,12 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boundary-embed", help="embedding distance table")
     p.add_argument("--kernel", default="brownian")
-    p.add_argument("--points", type=int, default=16)
+    p.add_argument("--points", type=int, default=16, help=f"in [0, {MAX_EMBED_POINTS}]")
     common(p, seed=False, J=True)
     p.set_defaults(func=cmd_boundary_embed)
 
     p = sub.add_parser("szego-check", help="boundary integral vs closed form")
-    p.add_argument("--nodes", type=int, default=2048)
+    p.add_argument("--nodes", type=int, default=2048, help=f"in [1, {MAX_SZEGO_NODES}]")
     common(p, seed=False)
     p.set_defaults(func=cmd_szego_check)
 

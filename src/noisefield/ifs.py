@@ -11,6 +11,13 @@ This module is the one owner of the cylinder code: word (b_1, ..., b_d) has
 code sum_k b_k n^(k-1), and ``cell_images``, ``cylinder_masses`` and
 ``digits`` all use that layout; ``cdf`` works elementwise over arrays.
 
+It also owns the self-similar integrals.  By invariance, mu restricted to a
+cylinder C_w is p_w (tau_w)_* mu, and ``pushforward_system`` conjugates a
+system by one branch, so its invariant measure is that branch's push-forward;
+conjugating once per digit of w, in word order, gives (tau_w)_* mu.  A
+polynomial integral is the one moment sum, sum_k c_k m_k over the invariant
+moments, a Fraction only when the moments and every coefficient are exact.
+
 Branch weights are allowed to not sum to one so that the closedness
 diagnostics can quantify exactly how broken a system is; everything that
 needs a probability measure (CDF, sampling, moments) insists on a unit sum.
@@ -27,7 +34,7 @@ from .sets import BorelSet
 from . import streams
 
 _OVERLAP_TOL = 1e-12
-_CLOSEDNESS_DEPTH = 6  # closedness_residual checks every word up to this length
+_CLOSEDNESS_DEPTH = 6  # closedness_residual bounds the defect of every word up to this length
 
 
 def _as_exact(x):
@@ -407,38 +414,31 @@ def invariant_integrate(ifs: IteratedFunctionSystem, poly_coeffs):
     coeffs = list(poly_coeffs)
     if len(coeffs) - 1 > 32:
         raise ValueError("polynomial degree capped at 32")
+    return _moment_sum(ifs, coeffs)
+
+
+def _moment_sum(ifs: IteratedFunctionSystem, coeffs):
+    """sum_k c_k m_k over the invariant moments m_k, with no degree cap.
+
+    A Fraction when the moments and every coefficient are exact, else a float.
+    """
     moments = invariant_moments(ifs, max(len(coeffs) - 1, 0))
-    total = None
-    for c, m in zip(coeffs, moments):
-        term = (Fraction(c) if isinstance(m, Fraction) and _as_exact(c) is not None else float(c)) * m
-        total = term if total is None else total + term
-    return total if total is not None else 0
+    if isinstance(moments[0], Fraction) and all(_as_exact(c) is not None for c in coeffs):
+        return sum((Fraction(c) * m for c, m in zip(coeffs, moments)), Fraction(0))
+    return float(sum(float(c) * float(m) for c, m in zip(coeffs, moments)))
 
 
 def closedness_residual(ifs: IteratedFunctionSystem) -> float:
     """Max cylinder defect of mu = sum_i (weight_i) mu o tau_i^(-1), words up to length 6.
 
-    Cylinder masses are taken as products of the declared weights, so a unit
-    weight sum gives residual 0 exactly and a broken sum shows up at the root.
+    Cylinder masses are products m(w) of the declared weights, so word w has
+    defect |sum_i w_i m(w) - m(w)| = |sum_i w_i - 1| m(w), and the largest
+    m(w) over lengths 0..6 is max(1, max_i w_i)^6: O(n), not a walk over the
+    n^6 words.  A unit weight sum gives residual 0 exactly and a broken sum
+    shows up at the root.
     """
-    k = ifs.n_branches
     ws = [float(p) for p in ifs.weights]
-
-    def mass(word):
-        m = 1.0
-        for d in word:
-            m *= ws[d]
-        return m
-
-    worst = 0.0
-    stack = [()]
-    while stack:
-        word = stack.pop()
-        pushed = sum(mass((i,) + word) for i in range(k))
-        worst = max(worst, abs(pushed - mass(word)))
-        if len(word) < _CLOSEDNESS_DEPTH:
-            stack.extend(word + (i,) for i in range(k))
-    return worst
+    return abs(sum(ws) - 1.0) * max(1.0, max(ws)) ** _CLOSEDNESS_DEPTH
 
 
 # -- Cuntz operators on depth-d coefficient spaces ---------------------------

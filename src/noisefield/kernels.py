@@ -248,6 +248,8 @@ def szego_boundary_integral(z, w, nodes: int = 2048) -> complex:
     """
     if abs(z) >= 1.0 or abs(w) >= 1.0:
         raise ValueError("points must lie strictly inside the unit disk")
+    if nodes < 1:
+        raise ValueError(f"the trapezoid rule needs at least 1 node, not {nodes}")
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     vals = 1.0 / (1.0 - z * np.exp(-1j * theta)) / (1.0 - np.conj(w) * np.exp(1j * theta))
     return complex(vals.mean())

@@ -17,25 +17,30 @@ check: ``sigma.SigmaLift`` expands through it.
 
 Exactness: interval masses are closed-form for Lebesgue, polynomial
 densities, atomic measures, and IFS invariant measures (branch-descent CDF);
-everything else is quadrature with a node-doubling error estimate.
+polynomials integrate exactly against an IFS invariant measure, on the whole
+attractor or on a cylinder C_w, where mu is p_w (tau_w)_* mu, the invariant
+measure of ``ifs.pushforward_system`` applied once per digit of w; both go
+through the one moment sum of ``ifs``.  Everything else is quadrature with
+a node-doubling error estimate.
 
 The cylinder code of IFS measures (cell images in digit-code order, cylinder
 masses and the branch-descent CDF, vectorized over arrays) lives in
 ``ifs.IteratedFunctionSystem``; here cells inside a set take their cylinder
-masses, and only cells straddling its endpoints difference the CDF.
+masses, and only cells straddling its endpoints difference the CDF.  Every
+singular base is an ``IFSInvariantMeasure`` (a Bernoulli law with lambda <
+1/2 returns its system's), so two bases are one when their systems are equal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import quadrature
-from .ifs import IteratedFunctionSystem, bernoulli_system, invariant_moments
+from .ifs import IteratedFunctionSystem, _moment_sum, bernoulli_system, pushforward_system
 from .sets import BorelSet
 
 _ATOM_TOL = 1e-12
@@ -377,22 +382,14 @@ class IFSInvariantMeasure(SigmaFiniteMeasure):
     def _integrate_poly(self, coeffs, A):
         coeffs = list(coeffs)
         if A is None:
-            return _poly_moment_value(self.ifs, coeffs), 0.0
+            return _moment_sum(self.ifs, coeffs), 0.0
         if self._word(A) is not None:
-            # exact: restrict to the cylinder by composing the word into the polynomial
-            exact = all(
-                isinstance(v, (int, Fraction))
-                for v in list(self.ifs.ratios) + list(self.ifs.shifts)
-            )
-            rw = Fraction(1) if exact else 1.0
-            sw = Fraction(0) if exact else 0.0
+            # exact: mu on C_w is p_w (tau_w)_* mu, the invariant measure of the
+            # system conjugated by tau_w, one digit at a time in word order
+            system = self.ifs
             for d in A.word:
-                r = Fraction(self.ifs.ratios[d]) if exact else float(self.ifs.ratios[d])
-                s = Fraction(self.ifs.shifts[d]) if exact else float(self.ifs.shifts[d])
-                rw, sw = rw * r, rw * s + sw
-            shifted = _poly_affine_substitute(coeffs, rw, sw)
-            mass = self.ifs.cylinder_mass(A.word)
-            return mass * _poly_moment_value(self.ifs, shifted), 0.0
+                system = pushforward_system(system, d)
+            return self.ifs.cylinder_mass(A.word) * _moment_sum(system, coeffs), 0.0
         val, err = self.integrate(
             lambda x: P.polyval(np.asarray(x, dtype=float), np.asarray([float(c) for c in coeffs])),
             A,
@@ -401,30 +398,6 @@ class IFSInvariantMeasure(SigmaFiniteMeasure):
 
     def to_descriptor(self):
         return {"kind": self.kind, "ifs": self.ifs.to_descriptor()}
-
-
-def _poly_moment_value(ifs, coeffs):
-    moments = invariant_moments(ifs, max(len(coeffs) - 1, 0))
-    exact = isinstance(moments[-1], Fraction) and all(
-        isinstance(c, (int, Fraction)) for c in coeffs
-    )
-    if exact:
-        return sum(Fraction(c) * m for c, m in zip(coeffs, moments))
-    return float(sum(float(c) * float(m) for c, m in zip(coeffs, moments)))
-
-
-def _poly_affine_substitute(coeffs, r, s):
-    """Coefficients of p(r*x + s) given those of p."""
-    from math import comb
-
-    n = len(coeffs)
-    zero = Fraction(0) if isinstance(r, Fraction) else 0.0
-    out = [zero] * n
-    for k, c in enumerate(coeffs):
-        ck = Fraction(c) if isinstance(r, Fraction) and isinstance(c, (int, Fraction)) else float(c)
-        for l in range(k + 1):
-            out[l] = out[l] + ck * comb(k, l) * (r**l) * (s ** (k - l))
-    return out
 
 
 class BernoulliMeasure(SigmaFiniteMeasure):
@@ -460,7 +433,7 @@ class BernoulliMeasure(SigmaFiniteMeasure):
 
     def singular_parts(self):
         if self.lam < 0.5:
-            return ((self, 1.0),)
+            return ((self._ifs_measure, 1.0),)
         return ()
 
     def cdf(self, x) -> float:
@@ -589,17 +562,8 @@ class SumMeasure(SigmaFiniteMeasure):
 
 
 def _same_singular(m1, m2) -> bool:
-    if m1 is m2:
-        return True
-    if isinstance(m1, IFSInvariantMeasure) and isinstance(m2, IFSInvariantMeasure):
-        return m1.ifs == m2.ifs
-    if isinstance(m1, BernoulliMeasure) and isinstance(m2, BernoulliMeasure):
-        return m1.lam == m2.lam
-    if isinstance(m1, BernoulliMeasure) and isinstance(m2, IFSInvariantMeasure):
-        return m1._ifs_measure is not None and m1._ifs_measure.ifs == m2.ifs
-    if isinstance(m2, BernoulliMeasure):
-        return _same_singular(m2, m1)
-    return False
+    """Every singular base is an ``IFSInvariantMeasure``: one base per system."""
+    return m1 is m2 or m1.ifs == m2.ifs
 
 
 def sum_measure(mu1: SigmaFiniteMeasure, mu2: SigmaFiniteMeasure) -> SumMeasure:

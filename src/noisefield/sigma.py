@@ -162,7 +162,7 @@ class SigmaLift:
         self._regular_J = J_density * has_density + len(self._lam.atoms())
         self._regular = regular_basis(self._lam, self._regular_J) if self._regular_J else None
         self._singular = [
-            (base, WalshBasis(getattr(base, "_ifs_measure", None) or base, depth=_WALSH_DEPTH))
+            (base, WalshBasis(base, depth=_WALSH_DEPTH))
             for base, _ in self._lam.singular_parts()
         ]
         self.total_J = self._regular_J + len(self._singular) * 2**_WALSH_DEPTH

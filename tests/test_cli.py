@@ -117,6 +117,17 @@ def test_cuntz_check_depth_out_of_range_is_a_usage_error(capsys, ifs, depth):
     assert "--depth" in capsys.readouterr().err
 
 
+def test_cuntz_check_on_32_branches_is_quick(tmp_path):
+    # the closedness residual is O(n): a walk over the 32^6 words of length 6 took hours
+    branches = ";".join(f"{1 / 64!r},{k / 32!r}" for k in range(32))
+    system = f"ifs:{branches}:" + ",".join(["0.03125"] * 32)
+    out = tmp_path / "cuntz.csv"
+    start = time.perf_counter()
+    assert main(["cuntz-check", "--ifs", system, "--depth", "1", "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert out.read_text().splitlines()[2].split(",")[2] == "0.0"
+
+
 def test_cuntz_check_huge_depth_is_a_usage_error_at_once(capsys):
     # the guard must not build n^depth: 2^(2^64) does not fit in memory
     start = time.perf_counter()
@@ -148,6 +159,18 @@ def test_cuntz_check_huge_depth_is_a_usage_error_at_once(capsys):
     (["bernoulli-density", "--lambda", "0.5", "--h", "1e-300"], "--h"),
     (["bernoulli-scaling", "--lambda", "0.5", "--h", "0"], "--h"),
     (["bernoulli-scaling", "--lambda", "0.5", "--h", "inf"], "--h"),
+    (["bernoulli-scaling", "--lambda", "0.5", "--weights", "0.5,nan"], "--weights"),
+    (["bernoulli-scaling", "--lambda", "0.5", "--weights", "1e308"], "--weights"),
+    (["szego-check", "--nodes", "0"], "--nodes"),
+    (["szego-check", "--nodes", "-1"], "--nodes"),
+    (["szego-check", "--nodes", str(2**20 + 1)], "--nodes"),
+    (["szego-check", "--nodes", str(10**10)], "--nodes"),
+    (["boundary-embed", "--points", "100000"], "--points"),
+    (["boundary-embed", "--points", "-1"], "--points"),
+    (["boundary-embed", "--kernel", "szego", "--points", str(10**11)], "--points"),
+    (["sigma-inner", "--f1", "1,nan", "--mu1", "lebesgue:0,1", "--f2", "1", "--mu2",
+      "lebesgue:0,1"], "finite"),
+    (["julia-kernel", "--points", "0;nan"], "--points"),
 ])
 def test_sizes_past_their_bounds_are_usage_errors_at_once(capsys, argv, flag):
     # each of these overflowed (exit 1), failed inside numpy (exit 3) or ran

@@ -288,6 +288,24 @@ def test_closedness_detects_broken_weights():
     assert closedness_residual(broken_pair()) == pytest.approx(0.2, abs=1e-12)
 
 
+def _walked_closedness_residual(ifs, depth=6):
+    """The defect of every word up to ``depth``, walked one word at a time."""
+    ws = [float(p) for p in ifs.weights]
+    worst, level = 0.0, [1.0]
+    for _ in range(depth + 1):
+        worst = max([worst] + [abs(sum(w * m for w in ws) - m) for m in level])
+        level = [w * m for m in level for w in ws]
+    return worst
+
+
+@pytest.mark.parametrize("weights", [[0.4, 0.4], [0.9, 0.9], [1.2, 0.1], [0.3, 0.5, 0.4],
+                                     [1 / 6] * 6, [0.1, 0.2, 0.7]])
+def test_closedness_matches_the_word_walk(weights):
+    n = len(weights)
+    ifs = make_ifs([(1 / (2 * n), k / n) for k in range(n)], weights)
+    assert closedness_residual(ifs) == pytest.approx(_walked_closedness_residual(ifs), abs=1e-15)
+
+
 def test_pushforward_two_routes_agree():
     # mass of a set under the push-forward: cylinder-shift route (the
     # conjugated system) versus preimage route on the original measure

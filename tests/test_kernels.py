@@ -158,6 +158,13 @@ def test_circle_integral_rejects_boundary_points():
         szego_boundary_integral(1.0, 0.0)
 
 
+@pytest.mark.parametrize("nodes", [0, -1])
+def test_circle_integral_needs_a_node(nodes):
+    # an empty trapezoid sum would be nan
+    with pytest.raises(ValueError, match="node"):
+        szego_boundary_integral(0.5, 0.5, nodes)
+
+
 # -- the quartic orbit kernel -----------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from noisefield import (
     sum_measure,
 )
 from noisefield import quadrature
+from noisefield.ifs import bernoulli_system
 from noisefield.measures import _INVERSION_CUTOFF, _INVERSION_ROWS
 from test_coeff_goldens import SYSTEMS
 
@@ -207,6 +208,37 @@ def test_word_polynomial_integrals_match_the_interval_path(mu):
             assert abs(float(exact) - interval) < 1e-6, (word, deg)
 
 
+def _float_three_branch_measure():
+    from noisefield import make_ifs
+
+    return IFSInvariantMeasure(make_ifs([(0.3, 0.0), (0.25, 0.5), (0.2, 0.8)], [0.2, 0.5, 0.3]))
+
+
+@pytest.mark.parametrize(
+    "mu", [cantor_measure(), _three_branch_measure()], ids=["cantor", "three-branch"]
+)
+def test_word_polynomial_integrals_add_up_exactly_over_a_level(mu):
+    coeffs = [Fraction(1, 7), Fraction(2, 3), Fraction(-5, 11), Fraction(1, 13)]
+    whole, _ = mu.integrate(coeffs)
+    k = mu.ifs.n_branches
+    for depth in (1, 2, 3):
+        parts = [mu.integrate(coeffs, mu.ifs.cylinder_set(w))[0]
+                 for w in itertools.product(range(k), repeat=depth)]
+        assert all(isinstance(v, Fraction) for v in parts)
+        assert sum(parts) == whole
+
+
+def test_word_polynomial_integrals_add_up_on_a_float_system():
+    mu = _float_three_branch_measure()
+    coeffs = [0.5, 1.0, 2.0, -0.75]
+    whole, _ = mu.integrate(coeffs)
+    for depth in (1, 2, 3):
+        parts = [mu.integrate(coeffs, mu.ifs.cylinder_set(w))[0]
+                 for w in itertools.product(range(3), repeat=depth)]
+        assert all(isinstance(v, float) for v in parts)
+        assert abs(sum(parts) - whole) <= 1e-14 * abs(whole)
+
+
 def test_unbounded_integrand_rejected():
     mu = LebesgueMeasure(0, 1)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unbounded"):
@@ -332,6 +364,17 @@ def test_bernoulli_small_lambda_bounds():
     lo, hi = mu.support_hull()
     assert (lo, hi) == pytest.approx((-0.5, 0.5))
     assert mu.measure_of(BorelSet.interval(-0.5, 0.5)) == pytest.approx(1.0)
+
+
+def test_small_lambda_bernoulli_singular_base_is_its_system_measure():
+    base, scale = BernoulliMeasure(1 / 3).singular_parts()[0]
+    assert isinstance(base, IFSInvariantMeasure) and scale == 1.0
+    assert base.ifs == bernoulli_system(1 / 3)
+
+
+def test_two_bernoulli_measures_of_one_lambda_share_one_singular_base():
+    parts = sum_measure(BernoulliMeasure(0.3), BernoulliMeasure(0.3)).singular_parts()
+    assert len(parts) == 1 and parts[0][1] == 2.0
 
 
 def test_bernoulli_inversion_integral_memory_is_bounded():

@@ -238,6 +238,15 @@ def test_lift_of_nonoverlapping_random_series_law():
     assert space.lift(F, xi) == pytest.approx(xi.coords[0], abs=1e-12)
 
 
+def test_lift_gives_a_bernoulli_law_and_its_system_measure_one_walsh_block():
+    from noisefield import BernoulliMeasure, IFSInvariantMeasure, WalshBasis
+    from noisefield.ifs import bernoulli_system
+
+    space = SigmaLift([BernoulliMeasure(1 / 3), IFSInvariantMeasure(bernoulli_system(1 / 3))])
+    assert len(space._singular) == 1 and isinstance(space._singular[0][1], WalshBasis)
+    assert space.total_J == 2**10
+
+
 def test_lift_expands_density_family_with_a_gap():
     # the pooled density vanishes on (1, 2]: one Legendre block on each side of the gap
     far = LebesgueMeasure(2, 3)
