@@ -47,6 +47,7 @@ MAX_DENSITY_BINS = 1 << 20  # bernoulli --h: 2 lambda / ((1 - lambda) h) histogr
 MAX_INVERSION_COSINES = 1 << 24  # bernoulli-density: bins x 24 T cosines, 0.4 s and 0.3 GB
 MAX_SZEGO_NODES = 1 << 20  # szego-check: 25 trapezoid sums of this many nodes, 3.4 s and 121 MB
 MAX_EMBED_POINTS = 512  # boundary-embed: points^2 / 2 distance rows, 5.5 s and 173 MB
+MAX_JULIA_FACTORS = 1 << 16  # julia-kernel: a Python step per factor and point; 1e5 took 0.45 s
 
 
 class UsageError(Exception):
@@ -217,6 +218,9 @@ def _check_bounds(args):
     nodes = getattr(args, "nodes", None)
     if nodes is not None and not 1 <= nodes <= MAX_SZEGO_NODES:
         raise UsageError(f"--nodes must lie in [1, {MAX_SZEGO_NODES}]")
+    factors = getattr(args, "factors", None)
+    if factors is not None and not 1 <= factors <= MAX_JULIA_FACTORS:
+        raise UsageError(f"--factors must lie in [1, {MAX_JULIA_FACTORS}]")
     degree = getattr(args, "degree", None)
     if degree is not None and degree > MAX_MOMENT_DEGREE:
         raise UsageError(f"--degree must be at most {MAX_MOMENT_DEGREE}")
@@ -557,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("julia-kernel", help="membership verdicts and kernel values")
     p.add_argument("--points", default="0;2;1;0.1;-0.15")
-    p.add_argument("--factors", type=int, default=24)
+    p.add_argument("--factors", type=int, default=24, help=f"in [1, {MAX_JULIA_FACTORS}]")
     common(p, seed=False)
     p.set_defaults(func=cmd_julia_kernel)
 

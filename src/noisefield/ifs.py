@@ -339,6 +339,8 @@ def chaos_game_sample(ifs: IteratedFunctionSystem, n, stream_id) -> np.ndarray:
     starts from a guide table of 16 n^G buckets (Chen & Asau 1974); its size
     moves no value, so it is not part of the replay contract.
     """
+    if n < 0:
+        raise ValueError(f"sample count n must be >= 0, not {n}")
     if not ifs.is_closed(tol=1e-9):
         raise ValueError("sampling requires branch weights summing to 1")
     n_br = ifs.n_branches

@@ -153,6 +153,8 @@ class JuliaProductKernel(PositiveDefiniteKernel):
     default_J = 256
 
     def __init__(self, n_factors: int = 24):
+        if not n_factors >= 1:
+            raise ValueError(f"n_factors must be at least 1, not {n_factors}")
         self.n_factors = n_factors
 
     def require_member(self, z):

@@ -255,9 +255,12 @@ class AtomicMeasure(SigmaFiniteMeasure):
     def __init__(self, atoms):
         pts = []
         for x, m in atoms:
-            if not m > 0:
-                raise ValueError(f"atom mass {m} must be strictly positive")
-            pts.append((float(x), float(m)))
+            x, m = float(x), float(m)
+            if not 0 < m < math.inf:
+                raise ValueError(f"atom mass {m} must be positive and finite")
+            if not math.isfinite(x):
+                raise ValueError(f"atom location {x} must be finite")
+            pts.append((x, m))
         pts.sort()
         for (x0, _), (x1, _) in zip(pts, pts[1:]):
             if abs(x0 - x1) <= _ATOM_TOL:

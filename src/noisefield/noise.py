@@ -113,6 +113,8 @@ class GaussianNoiseField:
     # -- vectorized Monte Carlo -------------------------------------------------
 
     def noise_samples(self, A: BorelSet, n: int, stream_id, first: int = 0) -> np.ndarray:
+        if n < 0:
+            raise ValueError(f"sample count n must be >= 0, not {n}")
         if self._checked_mass(A) == 0.0:
             return np.zeros(n)
         return streams.linear_samples(stream_id, n, self.coefficients(A), first)

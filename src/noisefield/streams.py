@@ -26,9 +26,13 @@ own, so emitted samples (``emit_rows``) do not depend on the grid.
 ``mc_mean`` merges per-block (count, mean, M2) pairwise in block order (Chan,
 Golub & LeVeque 1983), so for it the grid is part of the replay contract.
 Both drivers run the blocks on the caller and k - 1 forked workers and take
-the results in block order, so k changes no byte.  k is the process's CPU
-count, or 1 where it has a live thread or no ``fork``, unless ``workers(k)``,
-a process-wide setting, fixes it.
+the results in block order, so k changes no byte.  ``workers(k)``, a
+process-wide setting, fixes k.  By default k is the process's CPU count, or 1
+where it has a live thread or no ``fork``, and the caller runs block 0 first
+and times it: the pool starts only when the other blocks, at that pace, would
+save more than its measured start-up and per-block transfer cost
+(``_pool_pays``), so cheap samplers never fork.  That choice depends on the
+clock, but no byte depends on it.
 Every Gaussian functional is a function of finitely many linear forms <c, xi>:
 ``linear_forms`` computes them from a (k, J) coefficient array and draws only
 the union of the forms' nonzero columns, which is exact because every
@@ -51,6 +55,7 @@ import contextlib
 import multiprocessing
 import os
 import threading
+import time
 
 import numpy as np
 from scipy.special import ndtri
@@ -65,6 +70,19 @@ _BLOCK_ROWS = 1 << 13
 _TILE_WORDS = 1 << 15  # 256 KiB per uint64 buffer
 _workers = "auto"  # set by ``workers``
 _block = None  # the block a forked worker runs
+# What a pool costs the default walk, measured on 2 cores with one BLAS thread,
+# in process, workers(1) -> workers(2).  Start and stop: two empty blocks take
+# 0.02 -> 12-15 ms.  Each block a worker returns: 0.55 ms when empty, but
+# 0.75-1.3 ms on real samplers, as (t2 - t1 / 2 - 15 ms) / 61 for 123 blocks
+# (t1 -> t2: Cantor chaos game 72 -> 131 ms, 1e6 Bernoulli(0.75) draws
+# 67 -> 126 ms, Bernoulli(0.5) 36 -> 79 ms).  Block 0 runs up to 2x slower than later ones
+# (first use: chaos game 1.13 against 0.58 ms); 2 ms a block absorbs that and
+# leaves about 2x on both sides: those samplers would save 20-70 ms against a
+# 137 ms pool, coupled_samples (t0 = 11 ms, 13 blocks) saves 66 ms against
+# 27 ms, and the lifts, sample_pair and boundary_process_cov (t0 = 19-240 ms)
+# far more.
+_POOL_START_S = 15e-3
+_POOL_BLOCK_S = 2e-3
 
 
 def _mix(words, scratch):
@@ -319,21 +337,48 @@ def _worker_count():
     return os.cpu_count() or 1
 
 
+def _pool_pays(t0, n_blocks, k):
+    """Whether k processes finish blocks 1 .. n_blocks - 1 sooner than the caller alone.
+
+    At t0 seconds a block, the caller alone takes t0 (n_blocks - 1).  With a
+    pool it still runs blocks k, 2k, ... while k - 1 workers share the rest,
+    so the walk ends after the longer of the two shares, plus the pool's
+    start-up and a transfer cost for each block a worker returns.
+    """
+    rest = n_blocks - 1
+    mine = rest // k
+    theirs = rest - mine
+    saved = t0 * (rest - max(mine, -(-theirs // (k - 1))))
+    return saved > _POOL_START_S + _POOL_BLOCK_S * theirs
+
+
 def _walk(n, block):
     """Yield ``((start, m), block(start, m))`` over the grid blocks of rows 0 .. n-1, in order.
 
     With k = min(``_worker_count()``, blocks) > 1 the caller runs blocks i = 0 (mod k)
     and k - 1 forked workers the rest (a fork copies ``block``, so it needs no
-    pickling); drivers nested in a block run in process.  Else all run here.
+    pickling); drivers nested in a block run in process while the pool lives.
+    Else all run here.  Under the default, the caller runs block 0 before any
+    pool exists and times it, and the walk forks only if ``_pool_pays``; a
+    slow machine may fork where a fast one does not, but the blocks and their
+    order, so the bytes, are the same either way.
     """
     spans = [(start, min(_BLOCK_ROWS, n - start)) for start in range(0, n, _BLOCK_ROWS)]
     k = min(_worker_count(), len(spans))
+    done = 0  # blocks already run here
+    if k > 1 and _workers == "auto":
+        tick = time.perf_counter()
+        first = block(*spans[0])
+        if not _pool_pays(time.perf_counter() - tick, len(spans), k):
+            k = 1
+        yield spans[0], first
+        done = 1
     if k <= 1:
-        yield from zip(spans, (block(*span) for span in spans))
+        yield from zip(spans[done:], (block(*span) for span in spans[done:]))
         return
     with multiprocessing.get_context("fork").Pool(k - 1, _bind, (block,)) as pool, workers(1):
         theirs = pool.imap(_run_block, [span for i, span in enumerate(spans) if i % k])
-        for i, span in enumerate(spans):
+        for i, span in enumerate(spans[done:], done):
             yield span, next(theirs) if i % k else block(*span)
 
 

@@ -171,6 +171,11 @@ def test_cuntz_check_huge_depth_is_a_usage_error_at_once(capsys):
     (["sigma-inner", "--f1", "1,nan", "--mu1", "lebesgue:0,1", "--f2", "1", "--mu2",
       "lebesgue:0,1"], "finite"),
     (["julia-kernel", "--points", "0;nan"], "--points"),
+    (["julia-kernel", "--factors", "0"], "--factors"),
+    (["julia-kernel", "--factors", "-1"], "--factors"),
+    (["julia-kernel", "--factors", str(2**16 + 1)], "--factors"),
+    (["julia-kernel", "--factors", "100000000"], "--factors"),
+    (["julia-kernel", "--factors", str(2**64)], "--factors"),
 ])
 def test_sizes_past_their_bounds_are_usage_errors_at_once(capsys, argv, flag):
     # each of these overflowed (exit 1), failed inside numpy (exit 3) or ran

@@ -153,6 +153,11 @@ def test_chaos_game_replay():
     assert np.array_equal(chaos_game_sample(ifs, 100, 3), chaos_game_sample(ifs, 100, 3))
 
 
+def test_chaos_game_names_a_negative_count():
+    with pytest.raises(ValueError, match="sample count n"):
+        chaos_game_sample(cantor_system(), -1, 3)
+
+
 THREE_BRANCH = make_ifs([(0.2, 0.0), (0.2, 0.4), (0.2, 0.8)], [0.1, 0.2, 0.7])
 
 

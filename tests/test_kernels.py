@@ -221,6 +221,12 @@ def test_feature_sum_reproduces_truncated_product():
     assert abs(val - k_full.evaluate(0.1, -0.15)) < 1e-14
 
 
+@pytest.mark.parametrize("n_factors", [0, -1])
+def test_julia_kernel_needs_a_factor(n_factors):
+    with pytest.raises(ValueError, match="n_factors"):
+        JuliaProductKernel(n_factors=n_factors)
+
+
 def test_tail_bound_small_for_members():
     k = JuliaProductKernel(n_factors=24)
     assert k.tail_bound(0.1, -0.15) < 1e-30

@@ -71,6 +71,17 @@ def test_atomic_lookup():
     assert mu.measure_of(BorelSet.interval(0.5, 2)) == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("atom, what", [
+    ((np.nan, 1.0), "location"),
+    ((np.inf, 1.0), "location"),
+    ((0.5, np.inf), "mass"),
+    ((0.5, np.nan), "mass"),
+])
+def test_atoms_need_a_finite_location_and_mass(atom, what):
+    with pytest.raises(ValueError, match=f"atom {what}"):
+        AtomicMeasure([(0.0, 1.0), atom])
+
+
 def test_infinite_mass_reported():
     mu = LebesgueMeasure(-np.inf, np.inf)
     assert not np.isfinite(mu.total_mass())

@@ -67,6 +67,13 @@ def test_zero_mass_convention():
     assert field.noise_on_set(empty, xi) == 0.0
 
 
+@pytest.mark.parametrize("A", [BorelSet.interval(0, 0.5), BorelSet.empty()], ids=["set", "null"])
+def test_noise_samples_name_a_negative_count(A):
+    field = GaussianNoiseField(LebesgueMeasure(0, 1), J=16)
+    with pytest.raises(ValueError, match="sample count n"):
+        field.noise_samples(A, -1, 3)
+
+
 def test_full_interval_reduces_to_first_coordinate():
     field = GaussianNoiseField(LebesgueMeasure(0, 1), J=32)
     xi = sample_xi(5, 32)

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -477,9 +478,18 @@ def test_library_results_identical_for_every_worker_count(name):
     assert not multiprocessing.active_children()
 
 
-def _block_pids():
-    """The pid that ran each of the four grid blocks of an ``N_POOL``-row walk."""
-    pids = streams.emit_rows(np.empty(N_POOL), 0, lambda row, m: np.full(m, os.getpid()))
+def _block_pids(first_block_s=0.0):
+    """The pid that ran each of the four grid blocks of an ``N_POOL``-row walk.
+
+    Block 0 sleeps ``first_block_s`` seconds: about 50 ms makes a pool pay for
+    itself under the default, while blocks that only fill take microseconds.
+    """
+    def block(row, m):
+        if row == 0:
+            time.sleep(first_block_s)
+        return np.full(m, os.getpid())
+
+    pids = streams.emit_rows(np.empty(N_POOL), 0, block)
     assert not multiprocessing.active_children()
     return [pids[start] for start in range(0, N_POOL, 8192)]
 
@@ -498,13 +508,41 @@ def test_blocks_run_outside_the_calling_process():
 ])
 def test_default_worker_count_is_the_cpu_affinity(monkeypatch, cpus, owners):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    assert [pid == os.getpid() for pid in _block_pids()] == owners
+    assert [pid == os.getpid() for pid in _block_pids(0.05)] == owners
+
+
+def test_default_walk_of_cheap_blocks_builds_no_pool(monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("a walk of cheap blocks started a pool")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert _block_pids() == [os.getpid()] * 4
+    forms = streams.linear_forms(5, [1.0, 0.5])
+    mean, _se = streams.mc_mean(N_POOL, lambda row, m: forms(row, m)[:, 0])
+    assert np.isfinite(mean)
+
+
+def test_default_walk_forks_when_block_0_is_slow(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert [pid == os.getpid() for pid in _block_pids(0.05)] == [True, False, True, False]
+
+
+@pytest.mark.parametrize("t0, n_blocks, k, pays", [
+    (1.13e-3, 123, 2, False),  # chaos game: 69 ms saved against a 137 ms pool
+    (11e-3, 13, 2, True),  # coupled_samples: 66 ms saved against 27 ms
+    (2.35e-3, 13, 2, False),  # characteristic_functional_mc: 14 ms against 27 ms
+    (1.0, 2, 2, False),  # block 1 would run in the worker while the caller waits
+    (0.05, 4, 3, True),  # two workers take blocks 1 and 2, the caller block 3
+])
+def test_pool_pays_only_past_its_start_and_transfer_cost(t0, n_blocks, k, pays):
+    assert streams._pool_pays(t0, n_blocks, k) == pays
 
 
 def test_default_worker_count_needs_fork(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert _block_pids() == [os.getpid()] * 4
+    assert _block_pids(0.05) == [os.getpid()] * 4
 
 
 def test_default_walk_runs_in_process_while_another_thread_lives(monkeypatch):
@@ -514,7 +552,7 @@ def test_default_walk_runs_in_process_while_another_thread_lives(monkeypatch):
     thread = threading.Thread(target=stop.wait, args=(60,))
     thread.start()
     try:
-        pids = _block_pids()
+        pids = _block_pids(0.05)
     finally:
         stop.set()
         thread.join(timeout=10)
