@@ -28,9 +28,9 @@ Golub & LeVeque 1983), so for it the grid is part of the replay contract.
 Both drivers run the blocks on the caller and k - 1 forked workers and take
 the results in block order, so k changes no byte.  ``workers(k)``, a
 process-wide setting, fixes k.  By default k is the process's CPU count, or 1
-where it has a live thread or no ``fork``, and the caller runs block 0 first
-and times it: the pool starts only when the other blocks, at that pace, would
-save more than its measured start-up and per-block transfer cost
+where it has a live thread or no ``fork``, and the caller first times a few
+rows of block 0 (``_probe``): the pool starts only when the blocks, at that
+pace, would save more than its measured start-up and per-block transfer cost
 (``_pool_pays``), so cheap samplers never fork.  That choice depends on the
 clock, but no byte depends on it.
 Every Gaussian functional is a function of finitely many linear forms <c, xi>:
@@ -71,18 +71,23 @@ _TILE_WORDS = 1 << 15  # 256 KiB per uint64 buffer
 _workers = "auto"  # set by ``workers``
 _block = None  # the block a forked worker runs
 # What a pool costs the default walk, measured on 2 cores with one BLAS thread,
-# in process, workers(1) -> workers(2).  Start and stop: two empty blocks take
-# 0.02 -> 12-15 ms.  Each block a worker returns: 0.55 ms when empty, but
-# 0.75-1.3 ms on real samplers, as (t2 - t1 / 2 - 15 ms) / 61 for 123 blocks
-# (t1 -> t2: Cantor chaos game 72 -> 131 ms, 1e6 Bernoulli(0.75) draws
-# 67 -> 126 ms, Bernoulli(0.5) 36 -> 79 ms).  Block 0 runs up to 2x slower than later ones
-# (first use: chaos game 1.13 against 0.58 ms); 2 ms a block absorbs that and
-# leaves about 2x on both sides: those samplers would save 20-70 ms against a
-# 137 ms pool, coupled_samples (t0 = 11 ms, 13 blocks) saves 66 ms against
-# 27 ms, and the lifts, sample_pair and boundary_process_cov (t0 = 19-240 ms)
-# far more.
+# in process, workers(1) -> workers(2):
+# - start and stop: two empty blocks take 0.02 -> 12-15 ms;
+# - each block a worker returns: 0.55 ms when empty, 0.75-1.3 ms on real
+#   samplers, as (t2 - t1 / 2 - 15 ms) / 61 over 123 blocks (t1 -> t2: Cantor
+#   chaos game 72 -> 131 ms, 1e6 Bernoulli(0.75) draws 67 -> 126 ms,
+#   Bernoulli(0.5) 36 -> 79 ms).
+# The probe times 2^10 rows after a first, untimed call that pays for first
+# use (which slows a whole block 0 by up to 2x); scaled to a block it
+# overstates cheap blocks 2-4x by their per-call cost (chaos game 1.14 against
+# 0.54 ms, Bernoulli(0.5) 0.66 against 0.16 ms) and hits costly ones within
+# 10% (boundary_process_cov 214 against 219 ms).  2 ms a block leaves about
+# 2x on both sides: those samplers would save 40-70 ms against a 137 ms pool,
+# while coupled_samples (11.8 ms, 13 blocks) saves 70 ms against 27 ms, and the
+# lifts, sample_pair and boundary_process_cov (15-230 ms) far more.
 _POOL_START_S = 15e-3
 _POOL_BLOCK_S = 2e-3
+_PROBE_ROWS = 1 << 10
 
 
 def _mix(words, scratch):
@@ -337,19 +342,31 @@ def _worker_count():
     return os.cpu_count() or 1
 
 
-def _pool_pays(t0, n_blocks, k):
-    """Whether k processes finish blocks 1 .. n_blocks - 1 sooner than the caller alone.
+def _pool_pays(t, n_blocks, k):
+    """Whether k processes walk ``n_blocks`` blocks of t seconds sooner than the caller alone.
 
-    At t0 seconds a block, the caller alone takes t0 (n_blocks - 1).  With a
-    pool it still runs blocks k, 2k, ... while k - 1 workers share the rest,
-    so the walk ends after the longer of the two shares, plus the pool's
-    start-up and a transfer cost for each block a worker returns.
+    The caller alone takes t n_blocks.  With a pool it runs blocks 0, k, 2k, ...
+    while k - 1 workers share the rest, so the walk ends after the longer of
+    the two shares, plus the pool's start-up and a transfer cost for each
+    block a worker returns.
     """
-    rest = n_blocks - 1
-    mine = rest // k
-    theirs = rest - mine
-    saved = t0 * (rest - max(mine, -(-theirs // (k - 1))))
+    mine = -(-n_blocks // k)
+    theirs = n_blocks - mine
+    saved = t * (n_blocks - max(mine, -(-theirs // (k - 1))))
     return saved > _POOL_START_S + _POOL_BLOCK_S * theirs
+
+
+def _probe(block):
+    """Seconds a full grid block of ``block`` takes, timed on ``_PROBE_ROWS`` rows of block 0.
+
+    The first call pays what a block pays once (imports, caches, first use
+    of its arrays) and is not timed; the second is.  Both results are
+    dropped, so the probe moves no byte; it costs a quarter of a block.
+    """
+    block(0, _PROBE_ROWS)
+    tick = time.perf_counter()
+    block(0, _PROBE_ROWS)
+    return (time.perf_counter() - tick) * (_BLOCK_ROWS / _PROBE_ROWS)
 
 
 def _walk(n, block):
@@ -357,28 +374,21 @@ def _walk(n, block):
 
     With k = min(``_worker_count()``, blocks) > 1 the caller runs blocks i = 0 (mod k)
     and k - 1 forked workers the rest (a fork copies ``block``, so it needs no
-    pickling); drivers nested in a block run in process while the pool lives.
-    Else all run here.  Under the default, the caller runs block 0 before any
-    pool exists and times it, and the walk forks only if ``_pool_pays``; a
-    slow machine may fork where a fast one does not, but the blocks and their
-    order, so the bytes, are the same either way.
+    pickling); drivers nested in a block run in process.  Else all run here.
+    Under the default, the walk forks only if ``_pool_pays`` at the pace
+    ``_probe`` measures; a slow machine may fork where a fast one does not,
+    but the blocks and their order, so the bytes, are the same either way.
     """
     spans = [(start, min(_BLOCK_ROWS, n - start)) for start in range(0, n, _BLOCK_ROWS)]
     k = min(_worker_count(), len(spans))
-    done = 0  # blocks already run here
-    if k > 1 and _workers == "auto":
-        tick = time.perf_counter()
-        first = block(*spans[0])
-        if not _pool_pays(time.perf_counter() - tick, len(spans), k):
-            k = 1
-        yield spans[0], first
-        done = 1
+    if k > 1 and _workers == "auto" and not _pool_pays(_probe(block), len(spans), k):
+        k = 1
     if k <= 1:
-        yield from zip(spans[done:], (block(*span) for span in spans[done:]))
+        yield from zip(spans, (block(*span) for span in spans))
         return
     with multiprocessing.get_context("fork").Pool(k - 1, _bind, (block,)) as pool, workers(1):
         theirs = pool.imap(_run_block, [span for i, span in enumerate(spans) if i % k])
-        for i, span in enumerate(spans[done:], done):
+        for i, span in enumerate(spans):
             yield span, next(theirs) if i % k else block(*span)
 
 

@@ -1,0 +1,77 @@
+"""Every committed ``BENCH_<pr>.json`` perf record parses and holds the pair-run fields.
+
+A record keeps, per workload, the seeds, which side ran first in each pair,
+the ``wall_s`` pairs (parent, change), the median and quartiles of each
+end-to-end metric of BENCHMARK.json, the win count, whether a gain is
+claimed and the jobs whose SHA-256 moved.  Backfilled records may hold null
+where the source listed no value, but the pairs and the ``wall_s`` medians
+must agree, and a claimed gain must meet the pair rule: the change wins at
+least 9 in 10 pairs and its median beats the parent's by more than the
+parent's interquartile range.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = {m["name"] for m in SPEC["end_to_end"]}
+WORKLOADS = {w["name"] for w in SPEC["workloads"]}
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+FIELDS = {"seeds", "first", "wall_s_pairs", "metrics", "wins", "claimed", "moved_sha256"}
+
+
+def test_some_records_exist():
+    assert RECORDS
+
+
+def _number_or_null(x):
+    return x is None or (isinstance(x, (int, float)) and np.isfinite(x))
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_bench_record_has_the_pair_fields(path):
+    rec = json.loads(path.read_text())
+    assert rec["pr"] == int(re.fullmatch(r"BENCH_(\d+)\.json", path.name).group(1))
+    for key in ("parent", "change", "command"):
+        assert isinstance(rec[key], str) and rec[key]
+    assert rec["workloads"] and set(rec["workloads"]) <= WORKLOADS
+    for name, w in rec["workloads"].items():
+        assert set(w) >= FIELDS, name
+        pairs = np.array(w["wall_s_pairs"], dtype=float)
+        assert pairs.ndim == 2 and pairs.shape[1] == 2 and np.all(pairs > 0), name
+        for key in ("seeds", "first"):
+            assert w[key] is None or len(w[key]) == len(pairs), (name, key)
+        assert w["first"] is None or set(w["first"]) <= {"parent", "change"}, name
+        assert set(w["metrics"]) == METRICS, name
+        for metric, sides in w["metrics"].items():
+            for side in ("parent", "change"):
+                stats = sides[side]
+                assert set(stats) == {"median", "q1", "q3"}, (name, metric, side)
+                assert all(_number_or_null(v) for v in stats.values()), (name, metric, side)
+                if None not in stats.values():
+                    assert stats["q1"] <= stats["median"] <= stats["q3"], (name, metric, side)
+        wall = w["metrics"]["wall_s"]
+        for col, side in enumerate(("parent", "change")):
+            # pairs may be rounded to 0.01 s in a backfilled record
+            assert abs(np.median(pairs[:, col]) - wall[side]["median"]) <= 0.01, (name, side)
+        assert w["wins"] == int(np.sum(pairs[:, 1] < pairs[:, 0])), name
+        assert isinstance(w["claimed"], bool), name
+        assert all(isinstance(job, str) for job in w["moved_sha256"]), name
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_a_claimed_gain_meets_the_pair_rule(path):
+    rec = json.loads(path.read_text())
+    for name, w in rec["workloads"].items():
+        if not w["claimed"]:
+            continue
+        wall = w["metrics"]["wall_s"]
+        assert len(w["wall_s_pairs"]) >= 10, name
+        assert w["wins"] >= 0.9 * len(w["wall_s_pairs"]), name
+        iqr = wall["parent"]["q3"] - wall["parent"]["q1"]
+        assert wall["parent"]["median"] - wall["change"]["median"] > iqr, name

@@ -481,8 +481,9 @@ def test_library_results_identical_for_every_worker_count(name):
 def _block_pids(first_block_s=0.0):
     """The pid that ran each of the four grid blocks of an ``N_POOL``-row walk.
 
-    Block 0 sleeps ``first_block_s`` seconds: about 50 ms makes a pool pay for
-    itself under the default, while blocks that only fill take microseconds.
+    Every call at row 0 (block 0 and the default walk's probe of it) sleeps
+    ``first_block_s`` seconds: about 50 ms makes a pool pay for itself under
+    the default, while blocks that only fill take microseconds.
     """
     def block(row, m):
         if row == 0:
@@ -528,15 +529,16 @@ def test_default_walk_forks_when_block_0_is_slow(monkeypatch):
     assert [pid == os.getpid() for pid in _block_pids(0.05)] == [True, False, True, False]
 
 
-@pytest.mark.parametrize("t0, n_blocks, k, pays", [
-    (1.13e-3, 123, 2, False),  # chaos game: 69 ms saved against a 137 ms pool
-    (11e-3, 13, 2, True),  # coupled_samples: 66 ms saved against 27 ms
-    (2.35e-3, 13, 2, False),  # characteristic_functional_mc: 14 ms against 27 ms
-    (1.0, 2, 2, False),  # block 1 would run in the worker while the caller waits
-    (0.05, 4, 3, True),  # two workers take blocks 1 and 2, the caller block 3
+@pytest.mark.parametrize("t, n_blocks, k, pays", [
+    (1.14e-3, 123, 2, False),  # chaos game: 70 ms saved against a 137 ms pool
+    (11.8e-3, 13, 2, True),  # coupled_samples: 71 ms saved against 27 ms
+    (2.9e-3, 13, 2, False),  # characteristic_functional_mc: 17 ms against 27 ms
+    (1.0, 2, 2, True),  # the worker runs block 1 while the caller runs block 0
+    (5e-3, 2, 2, False),  # 5 ms saved against 17 ms
+    (0.05, 4, 3, True),  # the caller runs blocks 0 and 3, two workers 1 and 2
 ])
-def test_pool_pays_only_past_its_start_and_transfer_cost(t0, n_blocks, k, pays):
-    assert streams._pool_pays(t0, n_blocks, k) == pays
+def test_pool_pays_only_past_its_start_and_transfer_cost(t, n_blocks, k, pays):
+    assert streams._pool_pays(t, n_blocks, k) == pays
 
 
 def test_default_worker_count_needs_fork(monkeypatch):
