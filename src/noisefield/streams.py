@@ -77,14 +77,18 @@ _block = None  # the block a forked worker runs
 #   samplers, as (t2 - t1 / 2 - 15 ms) / 61 over 123 blocks (t1 -> t2: Cantor
 #   chaos game 72 -> 131 ms, 1e6 Bernoulli(0.75) draws 67 -> 126 ms,
 #   Bernoulli(0.5) 36 -> 79 ms).
-# The probe times 2^10 rows after a first, untimed call that pays for first
-# use (which slows a whole block 0 by up to 2x); scaled to a block it
-# overstates cheap blocks 2-4x by their per-call cost (chaos game 1.14 against
-# 0.54 ms, Bernoulli(0.5) 0.66 against 0.16 ms) and hits costly ones within
-# 10% (boundary_process_cov 214 against 219 ms).  2 ms a block leaves about
-# 2x on both sides: those samplers would save 40-70 ms against a 137 ms pool,
-# while coupled_samples (11.8 ms, 13 blocks) saves 70 ms against 27 ms, and the
-# lifts, sample_pair and boundary_process_cov (15-230 ms) far more.
+# The probe times 2^10 rows: the faster of two calls after an untimed one
+# that pays for first use (which slows a whole block 0 by up to 2x).  Scaled
+# to a block, it overstates cheap blocks about 2x by their per-call cost
+# (chaos game 1.05 against 0.54 ms, Bernoulli(0.5) 0.51 against 0.16 ms) and
+# hits costly ones within 10% (boundary_process_cov 214 against 219 ms).  At
+# k = 2 a walk of 123 blocks forks above 2.25 ms a block and one of 13 above
+# 4.5 ms; in fresh processes, idle or beside a busy loop, the chaos game and
+# Bernoulli estimates stayed 1.2-4x below that line (1.04-1.83 ms and
+# 0.47-1.33 ms), the characteristic-functional and moment ones at 2.2-3.9 ms
+# with one 4.6 (where forking is about even), and coupled_samples 1.5-2.3x
+# above it (6.8-10.3 ms); the lifts, sample_pair and boundary_process_cov
+# (15-230 ms) far more.
 _POOL_START_S = 15e-3
 _POOL_BLOCK_S = 2e-3
 _PROBE_ROWS = 1 << 10
@@ -360,13 +364,17 @@ def _probe(block):
     """Seconds a full grid block of ``block`` takes, timed on ``_PROBE_ROWS`` rows of block 0.
 
     The first call pays what a block pays once (imports, caches, first use
-    of its arrays) and is not timed; the second is.  Both results are
-    dropped, so the probe moves no byte; it costs a quarter of a block.
+    of its arrays) and is not timed; the faster of the next two is, so one
+    preemption in a window this short cannot fork a cheap walk.  The
+    results are dropped, so the probe moves no byte; it costs 3/8 of a block.
     """
     block(0, _PROBE_ROWS)
-    tick = time.perf_counter()
-    block(0, _PROBE_ROWS)
-    return (time.perf_counter() - tick) * (_BLOCK_ROWS / _PROBE_ROWS)
+    times = []
+    for _ in range(2):
+        tick = time.perf_counter()
+        block(0, _PROBE_ROWS)
+        times.append(time.perf_counter() - tick)
+    return min(times) * (_BLOCK_ROWS / _PROBE_ROWS)
 
 
 def _walk(n, block):
