@@ -4,8 +4,8 @@ Every subcommand wraps exactly one library operation, parses descriptors,
 runs it under a fixed seed, and emits CSV or JSON with the full descriptor
 embedded, so identical invocations replay byte for byte.
 
-Exit codes: 0 success, 2 usage error, 3 numeric failure (a machine-readable
-error record goes to stderr).
+Exit codes: 0 success, 2 usage error, 3 numeric failure or a closed stdout
+(a machine-readable error record goes to stderr).
 """
 
 from __future__ import annotations
@@ -141,10 +141,12 @@ def _poly_fn(coeffs):
 # -- output ---------------------------------------------------------------------
 
 
-def _emit(args, descriptor: dict, header, rows):
+def _emit(args, descriptor: dict, header, rows=None, columns=None):
     """CSV: '# descriptor' comment line, then header and rows.  JSON: one object.
 
     CSV rows are written as they are formatted, so ``rows`` may be an iterator.
+    ``columns`` (one int or float sequence per header entry) is the column
+    form of ``rows``; CSV formats it a block of rows at a time.
     """
     if args.out:
         path = args.out
@@ -152,12 +154,14 @@ def _emit(args, descriptor: dict, header, rows):
         if outdir and not os.path.isabs(path):
             path = os.path.join(outdir, path)
         with open(path, "w", newline="") as fh:
-            _write(fh, args.format, descriptor, header, rows)
+            _write(fh, args.format, descriptor, header, rows, columns)
     else:
-        _write(sys.stdout, args.format, descriptor, header, rows)
+        _write(sys.stdout, args.format, descriptor, header, rows, columns)
 
 
-def _write(fh, fmt, descriptor, header, rows):
+def _write(fh, fmt, descriptor, header, rows, columns=None):
+    if columns is not None:
+        rows = zip(*columns)
     if fmt == "json":
         payload = {
             "descriptor": descriptor,
@@ -168,8 +172,25 @@ def _write(fh, fmt, descriptor, header, rows):
         return
     fh.write("# " + json.dumps(descriptor, sort_keys=True) + "\n")
     fh.write(",".join(header) + "\n")
+    if columns is not None:
+        _write_columns(fh, columns)
+        return
     for row in rows:
         fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+# One formatter per column dtype kind, each giving the string _fmt gives the
+# item.  200k sample-path rows took 0.59 s as one write and one _fmt per value
+# and 0.27 s formatted a block of this many rows at a time.
+_CSV_BLOCK_ROWS = 8192
+_COLUMN_FMT = {"i": int.__repr__, "f": float.__repr__}
+
+
+def _write_columns(fh, columns):
+    for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = [np.asarray(col[i : i + _CSV_BLOCK_ROWS]) for col in columns]
+        cells = [map(_COLUMN_FMT[b.dtype.kind], b.tolist()) for b in block]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 # exact-type fast path of _fmt; each entry gives the same string as the chain
@@ -272,7 +293,7 @@ def cmd_sample_path(args):
     field = noise.GaussianNoiseField(mu, J=args.J)
     vals = field.noise_samples(A, args.N, args.seed)
     desc = _descriptor(args, measure=mu.to_descriptor(), A=args.A, J=field.J)
-    _emit(args, desc, ["sample", "value"], enumerate(vals))
+    _emit(args, desc, ["sample", "value"], columns=(range(len(vals)), vals))
 
 
 def cmd_covariance(args):
@@ -595,9 +616,16 @@ def main(argv=None) -> int:
         _check_bounds(args)
         with contextlib.nullcontext() if args.workers is None else streams.workers(args.workers):
             args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except (ValueError, NotImplementedError) as exc:
+    except (ValueError, NotImplementedError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader closed stdout: point it at devnull, so that the flush
+            # at exit cannot raise again ("Note on SIGPIPE", Python's signal docs)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         record = {
             "error": {
                 "subcommand": args.command,

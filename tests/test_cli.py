@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 import time
@@ -229,6 +230,25 @@ def test_numeric_failure_emits_error_record():
     record = json.loads(r.stderr)
     assert record["error"]["subcommand"] == "sample-path"
     assert "bernoulli-convolution" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-path", "--measure", "lebesgue:0,1", "--A", "0,0.5", "--N", "100000"],
+    ["ifs-moments", "--ifs", "cantor", "--degree", "2"],  # fits the buffer: fails at flush
+], ids=["while-writing", "at-flush"])
+def test_closed_stdout_exits_3_with_an_error_record(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "noisefield.cli", *argv], stdout=write_end,
+                           stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert r.returncode == 3
+    assert "Traceback" not in r.stderr
+    record = json.loads(r.stderr)
+    assert record["error"]["type"] == "BrokenPipeError"
+    assert record["error"]["subcommand"] == argv[0]
 
 
 def test_workers_flag_validated():

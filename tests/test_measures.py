@@ -19,7 +19,7 @@ from noisefield import (
 )
 from noisefield import quadrature
 from noisefield.ifs import bernoulli_system
-from noisefield.measures import _INVERSION_CUTOFF, _INVERSION_ROWS
+from noisefield.measures import _INVERSION_CUTOFF, _INVERSION_ROWS, _INVERSION_SHIFTS
 from test_coeff_goldens import SYSTEMS
 
 
@@ -398,6 +398,16 @@ def test_bernoulli_inversion_integral_memory_is_bounded():
     assert peak_mb < 64.0
 
 
+def test_bernoulli_inversion_integral_works_in_tiles():
+    tracemalloc.start()
+    try:
+        BernoulliMeasure(0.75).integrate(lambda x: x**2)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 8.0
+
+
 def _two_inversion_integral(mu, f, A):
     """The 512- and 256-cell Riemann sums, each from its own CDF inversion."""
     lo, hi = mu.support_hull()
@@ -420,7 +430,10 @@ def _two_inversion_integral(mu, f, A):
 def test_bernoulli_integral_matches_two_inversions_bit_for_bit(lam, A):
     mu = BernoulliMeasure(lam)
     f = lambda x: np.cos(3.0 * x) + x**2
-    assert mu.integrate(f, A) == _two_inversion_integral(mu, f, A)
+    # the integral reads its grid as anchors plus shifts, the oracle one sine
+    # sum per point: the last bits differ (4.6e-14 at worst, lambda = 0.9 hull)
+    got, want = mu.integrate(f, A), _two_inversion_integral(mu, f, A)
+    assert abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
 
 
 @pytest.mark.parametrize("lam", [0.6, 0.9])
@@ -442,8 +455,52 @@ def test_bernoulli_inversion_matches_out_of_place_sine_oracle(lam):
         full[i : i + _INVERSION_ROWS] = 0.5 + (sines @ kern) / np.pi
         part[i : i + _INVERSION_ROWS] = 0.5 + (sines[:, half] @ kern[half]) / np.pi
     cdfs, errs = mu._cdf_inversion(xs)
-    assert np.array_equal(cdfs, full)
-    assert np.array_equal(errs, np.abs(full - part))
+    # the complex-product sum rounds x t as the sines do but sums in node tiles
+    assert np.max(np.abs(cdfs - full)) <= 1e-12
+    assert np.max(np.abs(errs - np.abs(full - part))) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])
+def test_bernoulli_second_moment_is_within_four_errors(lam):
+    val, err = BernoulliMeasure(lam).integrate(lambda x: x**2)
+    assert abs(val - lam**2 / (1 - lam**2)) < 4 * err
+
+
+@pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])
+def test_bernoulli_inversion_cdf_is_symmetric(lam):
+    mu = BernoulliMeasure(lam)
+    b = mu.support_hull()[1]
+    xs = np.linspace(-b, b, 513)
+    assert np.max(np.abs(mu.cdf(xs) + mu.cdf(-xs) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.6, 0.9])
+def test_bernoulli_grid_inversion_matches_the_point_inversion(lam):
+    mu = BernoulliMeasure(lam)
+    b = mu.support_hull()[1]
+    grid = np.linspace(-b, b, 513)
+    s = _INVERSION_SHIFTS
+    by_grid, grid_errs = mu._cdf_inversion(grid[::s], 2 * b / 512, s)
+    by_point, point_errs = mu._cdf_inversion(grid)
+    assert len(by_grid) == s * len(grid[::s])
+    assert np.max(np.abs(by_grid[: len(grid)] - by_point)) <= 1e-13
+    assert np.max(np.abs(grid_errs[: len(grid)] - point_errs)) <= 1e-13
+
+
+def test_bernoulli_half_cutoff_nodes_are_a_prefix():
+    nodes, _, n_half = BernoulliMeasure(0.75)._inversion_kernel()
+    assert n_half == np.count_nonzero(nodes <= _INVERSION_CUTOFF / 2)
+    assert np.all(nodes[:n_half] <= _INVERSION_CUTOFF / 2)
+
+
+@pytest.mark.parametrize("lam", [1 / 3, 0.5, 0.75])
+def test_bernoulli_cdf_is_a_float_for_a_scalar_and_an_array_for_an_array(lam):
+    mu = BernoulliMeasure(lam)
+    assert type(mu.cdf(0.3)) is float
+    xs = np.array([[-0.2, 0.0], [0.3, 0.5]])
+    out = mu.cdf(xs)
+    assert isinstance(out, np.ndarray) and out.shape == xs.shape
+    assert out[1, 0] == mu.cdf(0.3)
 
 
 def test_bernoulli_large_lambda_inversion_cdf():
