@@ -44,7 +44,11 @@ MAX_PROXY_CUTOFF = 1e4  # ac2-proxy T: 2T Gauss panels of 8 nodes
 MAX_FBM_TIME = 100.0  # fbm-variance t: 3000 t / pi half-period panels of 24 nodes
 MAX_MOMENT_DEGREE = 64  # exact moments of high degree outgrow Python's int-to-str limit
 MAX_DENSITY_BINS = 1 << 20  # bernoulli --h: 2 lambda / ((1 - lambda) h) histogram bins
-MAX_INVERSION_COSINES = 1 << 24  # bernoulli-density: bins x 24 T cosines, 0.4 s and 0.3 GB
+# bernoulli-density: bins x 24 max(T, 32) terms of the inversion sum.  It
+# bounds time, not memory: the sum runs in node tiles (bernoulli._fourier_sums),
+# and at the bound it took 0.02-0.20 s with a 3-7 MB tracemalloc peak (one
+# BLAS thread, 2 cores; 21845 bins at T = 32 up to 200 bins at T = 3495).
+MAX_INVERSION_COSINES = 1 << 24
 MAX_SZEGO_NODES = 1 << 20  # szego-check: 25 trapezoid sums of this many nodes, 3.4 s and 121 MB
 MAX_EMBED_POINTS = 512  # boundary-embed: points^2 / 2 distance rows, 5.5 s and 173 MB
 MAX_JULIA_FACTORS = 1 << 16  # julia-kernel: a Python step per factor and point; 1e5 took 0.45 s
@@ -281,7 +285,7 @@ def _check_density_grid(lam, h, T):
     cosines = bins * 24.0 * max(T, 32.0)  # the inversion keeps at least 64 panels
     if cosines > MAX_INVERSION_COSINES:
         raise UsageError(f"--T and --h give {bins:.4g} bins x 24 max(T, 32) = {cosines:.4g} "
-                         f"inversion cosines; at most {MAX_INVERSION_COSINES} are allowed")
+                         f"inversion terms; at most {MAX_INVERSION_COSINES} are allowed")
 
 
 # -- subcommand bodies ------------------------------------------------------------
@@ -551,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--h", type=float, default=0.01, help=h_help)
     p.add_argument("--T", type=float, default=200.0, help="inversion cutoff, > 0, with bins x "
-                   f"24 max(T, 32) at most {MAX_INVERSION_COSINES}")
+                   f"24 max(T, 32) inversion terms at most {MAX_INVERSION_COSINES}")
     common(p, N=1_000_000)
     p.set_defaults(func=cmd_bernoulli_density)
 

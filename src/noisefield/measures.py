@@ -22,10 +22,11 @@ attractor or on a cylinder C_w, where mu is p_w (tau_w)_* mu, the invariant
 measure of ``ifs.pushforward_system`` applied once per digit of w; both go
 through the one moment sum of ``ifs``.  Everything else is quadrature with
 a node-doubling error estimate.  A Bernoulli convolution with lambda > 1/2
-gets its CDF by Fourier inversion, read on a uniform grid as the imaginary
-part of one (anchor rows) x (shift rows) complex product per 2048-node tile;
-it rounds x t as a sine per (point, node) would, but sums in another order,
-so its last bits differ from that direct sum (1.5e-15 in the CDF).
+gets its CDF by Fourier inversion, the imaginary part of
+``bernoulli._fourier_sums`` (one (anchor rows) x (shift rows) complex product
+per 2048-node tile on a uniform grid); it rounds x t as a sine per (point,
+node) would, but sums in another order, so its last bits differ from that
+direct sum (1.5e-15 in the CDF).
 
 The cylinder code of IFS measures (cell images in digit-code order, cylinder
 masses and the branch-descent CDF, vectorized over arrays) lives in
@@ -44,22 +45,12 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import quadrature
+from .bernoulli import _INVERSION_SHIFTS, _fourier_sums, fourier_transform
 from .ifs import IteratedFunctionSystem, _moment_sum, bernoulli_system, pushforward_system
 from .sets import BorelSet
 
 _ATOM_TOL = 1e-12
 _INVERSION_CUTOFF = 2000.0  # frequency cutoff T of the Fourier-inversion CDF
-# anchor rows per block of the Fourier-inversion CDF: with the node tile this
-# bounds its memory to a 2 MB (rows x tile) complex block whatever the number
-# of points
-_INVERSION_ROWS = 64
-# The inversion CDF on a uniform grid reads s points per anchor row and walks
-# the 32000 quadrature nodes in tiles.  Measured at lambda = 3/4 on the 513
-# points of one integral, one BLAS thread, best of 5: s = 32 and 2048-node
-# tiles take 46 ms (s = 16: 51 ms, s = 48: 77 ms; 1024-node tiles: 71 ms,
-# 8192: 71 ms), where one sine per (point, node) took 0.30 s.
-_INVERSION_SHIFTS = 32
-_INVERSION_TILE = 2048
 
 
 @dataclass(frozen=True)
@@ -429,9 +420,9 @@ class BernoulliMeasure(SigmaFiniteMeasure):
     At the points x_a + b h (b < s) the sum is Im[A B^T]_{a,b}, with anchor
     rows A[a, j] = kern_j e^{i x_a t_j} and shift rows B[b, j] = e^{i b h t_j}:
     an integral's 513-point grid costs 17 + 32 rows of ``exp`` and a small
-    matrix product instead of 513 rows of ``sin``.  The nodes are walked in
-    tiles of ``_INVERSION_TILE``; the tile that holds T/2 is split there, and
-    the sum up to T/2 gives the error |F - F_{T/2}|.  The rounding of x t is
+    matrix product instead of 513 rows of ``sin`` (``bernoulli._fourier_sums``,
+    the kernel every Bernoulli inversion shares).  The node tile that holds
+    T/2 is split there, and the sum up to T/2 gives the error |F - F_{T/2}|.  The rounding of x t is
     the same as for a sine per node, but the summation order is not, so the
     last bits differ from it (by at most 1.5e-15 in the CDF).
     """
@@ -479,9 +470,7 @@ class BernoulliMeasure(SigmaFiniteMeasure):
             n0 = int(np.ceil(np.log(T / 1e-9) / np.log(1.0 / lam)))
             edges = np.linspace(1e-9, T, max(int(2 * T), 128) + 1)
             nodes_t, weights_t = quadrature.panel_rule(edges, 8)
-            chf = np.ones_like(nodes_t)
-            for n in range(1, n0 + 1):
-                chf *= np.cos(lam**n * nodes_t)
+            chf, _ = fourier_transform(lam, nodes_t, n0)
             # the nodes ascend, so the nodes <= T/2 are a prefix
             n_half = int(np.count_nonzero(nodes_t <= T / 2))
             self._kernel = (nodes_t, weights_t * chf / nodes_t, n_half)
@@ -489,24 +478,10 @@ class BernoulliMeasure(SigmaFiniteMeasure):
 
     def _cdf_inversion(self, anchors, h=0.0, s=1):
         """(F, |F - F_{T/2}|) at the points anchors[a] + b h, b < s, in that order."""
-        xs = np.ravel(np.asarray(anchors, dtype=float))
         nodes_t, kern, n_half = self._inversion_kernel()
-        ends = sorted({*range(_INVERSION_TILE, len(nodes_t), _INVERSION_TILE), n_half, len(nodes_t)})
-        shifts = h * np.arange(s)
-        full, part = np.zeros((len(xs), s)), np.zeros((len(xs), s))
-        for i in range(0, len(xs), _INVERSION_ROWS):
-            rows = slice(i, i + _INVERSION_ROWS)
-            j0 = 0
-            for j1 in ends:
-                t = nodes_t[j0:j1]
-                anchor = np.exp(1j * np.outer(xs[rows], t))
-                anchor *= kern[j0:j1]
-                full[rows] += (anchor @ np.exp(1j * np.outer(shifts, t)).T).imag
-                if j1 == n_half:
-                    part[rows] = full[rows]
-                j0 = j1
-        full = 0.5 + full.ravel() / np.pi
-        return full, np.abs(full - (0.5 + part.ravel() / np.pi))
+        full, part = _fourier_sums(nodes_t, kern, anchors, h, s, split=n_half)
+        full = 0.5 + full.imag / np.pi
+        return full, np.abs(full - (0.5 + part.imag / np.pi))
 
     def measure_of(self, A: BorelSet) -> float:
         A = self._clipped(A)

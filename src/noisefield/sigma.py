@@ -232,8 +232,10 @@ class CorrelatedPair:
             mixed = self.rho[None, :] * xi + np.sqrt(1.0 - self.rho**2)[None, :] * eta
             return np.column_stack([streams.row_dot(xi, c), streams.row_dot(mixed, c)])
 
-        pair = streams.emit_rows(np.empty((n, 2)), first, block)
-        return tuple(pair.T.copy())
+        # rows of one (2, n) array, filled through its transpose: no second copy
+        pair = np.empty((2, n))
+        streams.emit_rows(pair.T, first, block)
+        return pair[0], pair[1]
 
     def cross_covariance_target(self, A: BorelSet) -> float:
         total = 0.0

@@ -9,6 +9,11 @@ must agree, and a claimed gain must meet the pair rule: the change wins at
 least 9 in 10 pairs and its median beats the parent's by more than the
 parent's interquartile range.
 
+A workload may claim a gain on another end-to-end metric: its optional
+``claimed_metric`` (default ``wall_s``) names it, and its pairs are then kept
+as ``<metric>_pairs`` beside the ``wall_s`` pairs.  The win count and the
+pair rule read the claimed metric, with "better" taken from BENCHMARK.json.
+
 A record marked ``"summary": true`` is backfilled from a source that lists
 medians and quartiles but no pairs: its pairs, win counts and run order are
 null, and it claims no gain, since the pair rule needs the pairs.
@@ -24,6 +29,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = {m["name"] for m in SPEC["end_to_end"]}
+BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
 WORKLOADS = {w["name"] for w in SPEC["workloads"]}
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 FIELDS = {"seeds", "first", "wall_s_pairs", "metrics", "wins", "claimed", "moved_sha256"}
@@ -35,6 +41,15 @@ def test_some_records_exist():
 
 def _number_or_null(x):
     return x is None or (isinstance(x, (int, float)) and np.isfinite(x))
+
+
+def _claimed_pairs(w):
+    """(metric, (parent, change) pairs, per-pair change wins) of a workload's claimed metric."""
+    metric = w.get("claimed_metric", "wall_s")
+    pairs = np.array(w[f"{metric}_pairs"], dtype=float)
+    if BETTER[metric] == "lower":
+        return metric, pairs, pairs[:, 1] < pairs[:, 0]
+    return metric, pairs, pairs[:, 1] > pairs[:, 0]
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
@@ -64,16 +79,20 @@ def test_bench_record_has_the_pair_fields(path):
             wall = w["metrics"]["wall_s"]
             assert wall["parent"]["median"] is not None and wall["change"]["median"] is not None
             continue
-        pairs = np.array(w["wall_s_pairs"], dtype=float)
-        assert pairs.ndim == 2 and pairs.shape[1] == 2 and np.all(pairs > 0), name
+        assert w.get("claimed_metric", "wall_s") in METRICS, name
+        metric, claimed, wins = _claimed_pairs(w)
+        for pairs_metric in {"wall_s", metric}:
+            pairs = np.array(w[f"{pairs_metric}_pairs"], dtype=float)
+            assert pairs.ndim == 2 and pairs.shape[1] == 2 and np.all(pairs > 0), name
+            assert len(pairs) == len(claimed), name
+            stats = w["metrics"][pairs_metric]
+            for col, side in enumerate(("parent", "change")):
+                # wall_s pairs may be rounded to 0.01 s in a backfilled record
+                assert abs(np.median(pairs[:, col]) - stats[side]["median"]) <= 0.01, (name, side)
         for key in ("seeds", "first"):
-            assert w[key] is None or len(w[key]) == len(pairs), (name, key)
+            assert w[key] is None or len(w[key]) == len(claimed), (name, key)
         assert w["first"] is None or set(w["first"]) <= {"parent", "change"}, name
-        wall = w["metrics"]["wall_s"]
-        for col, side in enumerate(("parent", "change")):
-            # pairs may be rounded to 0.01 s in a backfilled record
-            assert abs(np.median(pairs[:, col]) - wall[side]["median"]) <= 0.01, (name, side)
-        assert w["wins"] == int(np.sum(pairs[:, 1] < pairs[:, 0])), name
+        assert w["wins"] == int(np.sum(wins)), name
         assert all(isinstance(job, str) for job in w["moved_sha256"]), name
 
 
@@ -83,8 +102,10 @@ def test_a_claimed_gain_meets_the_pair_rule(path):
     for name, w in rec["workloads"].items():
         if not w["claimed"]:
             continue
-        wall = w["metrics"]["wall_s"]
-        assert len(w["wall_s_pairs"]) >= 10, name
-        assert w["wins"] >= 0.9 * len(w["wall_s_pairs"]), name
-        iqr = wall["parent"]["q3"] - wall["parent"]["q1"]
-        assert wall["parent"]["median"] - wall["change"]["median"] > iqr, name
+        metric, pairs, wins = _claimed_pairs(w)
+        stats = w["metrics"][metric]
+        assert len(pairs) >= 10, name
+        assert w["wins"] == int(np.sum(wins)) >= 0.9 * len(pairs), name
+        iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        gain = stats["parent"]["median"] - stats["change"]["median"]
+        assert (gain if BETTER[metric] == "lower" else -gain) > iqr, name

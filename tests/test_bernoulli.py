@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from noisefield import (
     inversion_density,
     scaling_identity_residual,
 )
-from noisefield.bernoulli import histogram_density
+from noisefield import quadrature, streams
+from noisefield.bernoulli import _INVERSION_NODES, _cutoff_panels, histogram_density
 
 GOLDEN_INVERSE = 2.0 / (1.0 + np.sqrt(5.0))
 
@@ -78,7 +81,32 @@ def test_gram_of_kernel_sections_matches_sampling():
             assert abs(prod.mean() - covariance(a, b)) < 4 * se
 
 
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_coupled_samples_block_works_in_row_tiles():
+    # one 8192-row grid block held its whole 8192 x 113 +-1 matrix (7.1 MiB) and row_dot's product of it
+    with streams.workers(1):
+        assert _traced_peak_mb(lambda: coupled_samples([0.3, 0.55, 0.75], 8192, 2)) < 4.0
+
+
 # -- transform -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.6, 0.75, 0.9])
+def test_transform_matches_the_out_of_place_product_bit_for_bit(lam):
+    t = np.linspace(-300.0, 300.0, 2001)
+    want = np.ones_like(t)
+    for k in range(1, 91):
+        want = want * np.cos(lam**k * t)
+    got, _ = fourier_transform(lam, t, 90)
+    assert np.array_equal(got, want)
 
 
 def test_transform_at_zero():
@@ -120,6 +148,33 @@ def test_density_symmetry():
     centers, hist, inv = density_estimate(bc, 400_000, 0.02, 150.0)
     assert np.sum(np.abs(inv - inv[::-1])) * 0.02 < 0.02
     assert np.sum(np.abs(hist - hist[::-1])) * 0.02 < 0.05
+
+
+def _cosine_oracle(lam, xs, cutoff):
+    """The inversion density as one cosine per (point, node)."""
+    n0, edges = _cutoff_panels(lam, cutoff, "cutoff")
+    tq, wq = quadrature.panel_rule(edges, _INVERSION_NODES)
+    chf, _ = fourier_transform(lam, tq, n0)
+    return np.cos(np.outer(xs, tq)) @ (wq * chf) / np.pi
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.75])
+@pytest.mark.parametrize("h", [0.01, 0.013])  # 2 r / 0.013 is not a whole number of bins
+def test_grid_inversion_matches_a_cosine_oracle(lam, h):
+    bc = BernoulliConvolution(lam, stream_id=14)
+    centers, _, inv = density_estimate(bc, 1000, h, 200.0)
+    assert np.max(np.abs(inv - _cosine_oracle(lam, centers, 200.0))) <= 2e-15
+
+
+def test_point_inversion_matches_a_cosine_oracle():
+    xs = np.array([-1.7, -0.31, 0.0, 0.2, 1.05, 2.9])
+    assert np.max(np.abs(inversion_density(0.6, xs) - _cosine_oracle(0.6, xs, 200.0))) <= 2e-15
+
+
+def test_density_estimate_memory_does_not_grow_with_bins_times_nodes():
+    # the parent's 600 x 4800 cosine matrix and its outer product peaked near 46 MB
+    bc = BernoulliConvolution(0.75)
+    assert _traced_peak_mb(lambda: density_estimate(bc, 20_000)) < 8.0
 
 
 def test_self_similarity_in_law():

@@ -19,7 +19,8 @@ from noisefield import (
 )
 from noisefield import quadrature
 from noisefield.ifs import bernoulli_system
-from noisefield.measures import _INVERSION_CUTOFF, _INVERSION_ROWS, _INVERSION_SHIFTS
+from noisefield.bernoulli import _INVERSION_ROWS, _INVERSION_SHIFTS
+from noisefield.measures import _INVERSION_CUTOFF
 from test_coeff_goldens import SYSTEMS
 
 

@@ -21,6 +21,7 @@ from noisefield import (
     sample_xi,
     sum_measure,
 )
+from noisefield import streams
 
 
 def const(v):
@@ -352,6 +353,26 @@ def test_sample_pair_memory_is_bounded_by_the_row_grid():
     assert pair.J == 32
     A = BorelSet.interval(0.25, 0.75)
     assert _traced_peak_mb(lambda: pair.sample_pair(A, 200_000)) < 32.0
+
+
+def test_sample_pair_matches_a_transposed_copy_bit_for_bit():
+    pair = correlated_pair(LEB, [0.5, -0.3, 0.8, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0], 4, per_piece=8)
+    A = BorelSet.interval(0.25, 0.75)
+    c = pair.basis.indicator_coefficients(A, pair.J)
+    mix = np.sqrt(1.0 - pair.rho**2)
+
+    def block(row, m):
+        xi = streams.normal_matrix(pair._xi_id, m, pair.J, row)
+        eta = streams.normal_matrix(pair._eta_id, m, pair.J, row)
+        mixed = pair.rho[None, :] * xi + mix[None, :] * eta
+        return np.column_stack([streams.row_dot(xi, c), streams.row_dot(mixed, c)])
+
+    n, first = 20_000, 37
+    want = tuple(streams.emit_rows(np.empty((n, 2)), first, block).T.copy())
+    got = pair.sample_pair(A, n, first)
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert g.shape == (n,) and np.array_equal(g, w)
 
 
 def test_lift_samples_memory_is_bounded_by_the_row_grid():
