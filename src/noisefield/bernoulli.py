@@ -7,13 +7,13 @@ per-byte tables of signed weight sums (``streams.sign_sums``, stream version
 3): for lam = 1/2 every partial sum is exact, for other lam the sums are
 regrouped and may move in the last bits from a term-by-term sum.
 ``coupled_samples`` still reduces a +-1 matrix, which its several weight
-vectors share, drawn in row tiles of ``streams._TILE_WORDS`` coins.  Closed
-forms implemented here: the covariance lam*rho/(1 - lam*rho) of coupled
-series, the cosine-product transform prod_n cos(lam^n t), and the geometric
-coefficient embedding into the zero-at-origin Hardy space.  Statistical
-outputs (histogram and Fourier-inversion density estimates, the scaling-law
-residual, the square-integrability proxy curve) carry explicit truncation
-parameters.
+vectors share, drawn in row tiles of about ``streams._TILE_WORDS`` coins.
+Closed forms implemented here: the covariance lam*rho/(1 - lam*rho) of
+coupled series, the cosine-product transform prod_n cos(lam^n t), and the
+geometric coefficient embedding into the zero-at-origin Hardy space.
+Statistical outputs (histogram and Fourier-inversion density estimates, the
+scaling-law residual, the square-integrability proxy curve) carry explicit
+truncation parameters.
 
 Every Fourier inversion of the cosine product, here and in
 ``measures.BernoulliMeasure``, runs through one kernel, ``_fourier_sums``:
@@ -107,7 +107,11 @@ def coupled_samples(lams, n: int, stream_id) -> np.ndarray:
 
 
 def fourier_transform(lam: float, t, n_factors: int):
-    """prod_{k<=n} cos(lam^k t) and the tail bound sum_{k>n} (lam^k t)^2 / 2."""
+    """prod_{k<=n} cos(lam^k t) and the tail bound sum_{k>n} (lam^k t)^2 / 2.
+
+    The product is taken in place, factor by factor in order of k; a scalar t
+    gives a scalar product.
+    """
     if n_factors < 1:
         raise ValueError("need at least one factor")
     t = np.asarray(t, dtype=float)
@@ -115,7 +119,7 @@ def fourier_transform(lam: float, t, n_factors: int):
     for k in range(1, n_factors + 1):
         out *= np.cos(lam**k * t)
     tail = (np.asarray(t) ** 2) * lam ** (2 * (n_factors + 1)) / (2.0 * (1.0 - lam**2))
-    return out, tail
+    return out[()], tail
 
 
 def _cutoff_panels(lam, cutoff, name):
@@ -148,20 +152,20 @@ def _fourier_sums(t, kern, anchors, delta=0.0, s=1, split=None):
     if split is not None:
         ends.add(split)
     shifts = delta * np.arange(s)
-    full, part = np.zeros((len(anchors), s), dtype=complex), None
-    j0 = 0
-    for j1 in sorted(ends):
-        tile = t[j0:j1]
-        shift = np.exp(1j * np.outer(shifts, tile)).T
-        for i in range(0, len(anchors), _INVERSION_ROWS):
-            rows = slice(i, i + _INVERSION_ROWS)
+    full = np.zeros((len(anchors), s), dtype=complex)
+    part = None if split is None else np.zeros_like(full)
+    for i in range(0, len(anchors), _INVERSION_ROWS):
+        rows = slice(i, i + _INVERSION_ROWS)
+        j0 = 0
+        for j1 in sorted(ends):
+            tile = t[j0:j1]
             anchor = np.exp(1j * np.outer(anchors[rows], tile))
             anchor *= kern[j0:j1]
-            full[rows] += anchor @ shift
-        if j1 == split:
-            part = full.ravel().copy()
-        j0 = j1
-    return full.ravel(), part
+            full[rows] += anchor @ np.exp(1j * np.outer(shifts, tile)).T
+            if j1 == split:
+                part[rows] = full[rows]
+            j0 = j1
+    return full.ravel(), None if part is None else part.ravel()
 
 
 def inversion_density(lam: float, xs, cutoff: float = 200.0, spacing=None) -> np.ndarray:

@@ -422,9 +422,10 @@ class BernoulliMeasure(SigmaFiniteMeasure):
     an integral's 513-point grid costs 17 + 32 rows of ``exp`` and a small
     matrix product instead of 513 rows of ``sin`` (``bernoulli._fourier_sums``,
     the kernel every Bernoulli inversion shares).  The node tile that holds
-    T/2 is split there, and the sum up to T/2 gives the error |F - F_{T/2}|.  The rounding of x t is
-    the same as for a sine per node, but the summation order is not, so the
-    last bits differ from it (by at most 1.5e-15 in the CDF).
+    T/2 is split there, and the sum up to T/2 gives the error |F - F_{T/2}|.
+    The rounding of x t is the same as for a sine per node, but the
+    summation order is not, so the last bits differ from it (by at most
+    1.5e-15 in the CDF).
     """
 
     kind = "bernoulli-convolution"

@@ -112,6 +112,7 @@ def test_transform_matches_the_out_of_place_product_bit_for_bit(lam):
 def test_transform_at_zero():
     val, tail = fourier_transform(0.5, 0.0, 10)
     assert val == 1.0 and tail == 0.0
+    assert np.ndim(val) == 0 and not isinstance(val, np.ndarray)
 
 
 def test_transform_matches_sine_ratio():
@@ -172,7 +173,7 @@ def test_point_inversion_matches_a_cosine_oracle():
 
 
 def test_density_estimate_memory_does_not_grow_with_bins_times_nodes():
-    # the parent's 600 x 4800 cosine matrix and its outer product peaked near 46 MB
+    # a whole 600 x 4800 cosine matrix and its outer product peaked near 44 MB
     bc = BernoulliConvolution(0.75)
     assert _traced_peak_mb(lambda: density_estimate(bc, 20_000)) < 8.0
 
