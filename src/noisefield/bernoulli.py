@@ -151,13 +151,14 @@ def _fourier_sums(t, kern, anchors, delta=0.0, s=1, split=None):
     ends = {*range(_INVERSION_TILE, len(t), _INVERSION_TILE), len(t)}
     if split is not None:
         ends.add(split)
+    ends = sorted(ends)
     shifts = delta * np.arange(s)
     full = np.zeros((len(anchors), s), dtype=complex)
     part = None if split is None else np.zeros_like(full)
     for i in range(0, len(anchors), _INVERSION_ROWS):
         rows = slice(i, i + _INVERSION_ROWS)
         j0 = 0
-        for j1 in sorted(ends):
+        for j1 in ends:
             tile = t[j0:j1]
             anchor = np.exp(1j * np.outer(anchors[rows], tile))
             anchor *= kern[j0:j1]

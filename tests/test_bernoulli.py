@@ -91,7 +91,7 @@ def _traced_peak_mb(fn):
 
 
 def test_coupled_samples_block_works_in_row_tiles():
-    # one 8192-row grid block held its whole 8192 x 113 +-1 matrix (7.1 MiB) and row_dot's product of it
+    # a whole 8192 x 113 +-1 block and row_dot's product of it would take 14 MiB
     with streams.workers(1):
         assert _traced_peak_mb(lambda: coupled_samples([0.3, 0.55, 0.75], 8192, 2)) < 4.0
 
@@ -173,7 +173,7 @@ def test_point_inversion_matches_a_cosine_oracle():
 
 
 def test_density_estimate_memory_does_not_grow_with_bins_times_nodes():
-    # a whole 600 x 4800 cosine matrix and its outer product peaked near 44 MB
+    # a whole 600 x 4800 cosine matrix and its outer product would take 44 MiB
     bc = BernoulliConvolution(0.75)
     assert _traced_peak_mb(lambda: density_estimate(bc, 20_000)) < 8.0
 
