@@ -17,9 +17,10 @@ truncation parameters.
 
 Every Fourier inversion of the cosine product, here and in
 ``measures.BernoulliMeasure``, runs through one kernel, ``_fourier_sums``:
-sums of kern_j e^{i x t_j} at anchor points plus multiples of a grid step,
-one (anchor rows) x (shift rows) complex product per node tile.  Its memory
-is one bounded block, whatever the number of points and nodes.
+sums of kern_j e^{i x t_j}, with an evenly spaced grid read as anchor points
+plus multiples of its step, one (anchor rows) x (shift rows) complex product
+per node tile.  Its memory is one bounded block, whatever the number of
+points and nodes.
 """
 
 from __future__ import annotations
@@ -134,25 +135,30 @@ def _cutoff_panels(lam, cutoff, name):
     return n0, np.linspace(0.0, cutoff, max(int(2 * cutoff), 64) + 1)
 
 
-def _fourier_sums(t, kern, anchors, delta=0.0, s=1, split=None):
-    """sum_j kern_j e^{i x t_j} at the points x = anchors[a] + b delta, b < s, in that order.
+def _fourier_sums(t, kern, xs, step=None, split=None):
+    """sum_j kern_j e^{i x t_j} at each point x of xs.
 
-    Each node tile adds one complex product A B^T, with anchor rows
-    A[a, j] = kern_j e^{i anchors[a] t_j} and shift rows B[b, j] =
-    e^{i b delta t_j}, so a uniform grid costs len(anchors) + s rows of ``exp``
-    instead of one per point.  The nodes are walked in ``_INVERSION_TILE``
-    tiles and the anchors in ``_INVERSION_ROWS`` blocks, so no array grows
-    with points x nodes.  With ``split``, the tile holding node ``split`` is
-    cut there, and the sums over the first ``split`` nodes come back as the
-    second value (else None).  x t rounds as it would in a sine or cosine per
-    (point, node), but the summation order differs from such a direct sum.
+    With ``step``, xs is read as a uniform grid of that step: the sums are
+    taken at the anchors x_a = xs[s a] plus b step, b < s =
+    ``_INVERSION_SHIFTS``, and each node tile adds one complex product A B^T,
+    with anchor rows A[a, j] = kern_j e^{i x_a t_j} and shift rows B[b, j] =
+    e^{i b step t_j}, so the grid costs len(xs) / s + s rows of ``exp``
+    instead of one per point.  Without it every point is its own anchor.  The
+    nodes are walked in ``_INVERSION_TILE`` tiles and the anchors in
+    ``_INVERSION_ROWS`` blocks, so no array grows with points x nodes.  With
+    ``split``, the tile holding node ``split`` is cut there, and the sums over
+    the first ``split`` nodes come back as the second value (else None).  x t
+    rounds as it would in a sine or cosine per (point, node), but the
+    summation order differs from such a direct sum.
     """
-    anchors = np.ravel(np.asarray(anchors, dtype=float))
+    xs = np.ravel(np.asarray(xs, dtype=float))
+    s = 1 if step is None else _INVERSION_SHIFTS
+    anchors = xs[::s]
     ends = {*range(_INVERSION_TILE, len(t), _INVERSION_TILE), len(t)}
     if split is not None:
         ends.add(split)
     ends = sorted(ends)
-    shifts = delta * np.arange(s)
+    shifts = (0.0 if step is None else step) * np.arange(s)
     full = np.zeros((len(anchors), s), dtype=complex)
     part = None if split is None else np.zeros_like(full)
     for i in range(0, len(anchors), _INVERSION_ROWS):
@@ -166,27 +172,34 @@ def _fourier_sums(t, kern, anchors, delta=0.0, s=1, split=None):
             if j1 == split:
                 part[rows] = full[rows]
             j0 = j1
-    return full.ravel(), None if part is None else part.ravel()
+    n = len(xs)
+    return full.ravel()[:n], None if part is None else part.ravel()[:n]
 
 
-def inversion_density(lam: float, xs, cutoff: float = 200.0, spacing=None) -> np.ndarray:
+def _grid_step(xs):
+    """The step of xs when its points lie on an even grid to a few ulps, else None."""
+    if len(xs) < 2:
+        return None
+    step = (xs[-1] - xs[0]) / (len(xs) - 1)
+    off = xs - (xs[0] + step * np.arange(len(xs)))
+    return step if np.max(np.abs(off)) <= 8 * np.spacing(np.max(np.abs(xs))) else None
+
+
+def inversion_density(lam: float, xs, cutoff: float = 200.0) -> np.ndarray:
     """Density estimate from inverting the cosine product over |t| <= cutoff.
 
     (1/pi) sum_j w_j phi(t_j) cos(x t_j) over the Gauss nodes of [0, cutoff],
-    from ``_fourier_sums``.  With ``spacing``, xs is read as a uniform grid of
-    that step: the density is taken at xs[s a] + b spacing, b < s =
-    ``_INVERSION_SHIFTS``, which are the points of xs up to rounding.
+    from ``_fourier_sums``.  Evenly spaced xs (such as histogram bin centers)
+    are read as a grid of step (xs[-1] - xs[0]) / (len(xs) - 1), other
+    points one by one.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    xs = np.ravel(np.asarray(xs, dtype=float))
     n0, edges = _cutoff_panels(lam, cutoff, "cutoff")
     tq, wq = quadrature.panel_rule(edges, _INVERSION_NODES)
     chf, _ = fourier_transform(lam, tq, n0)
     chf *= wq
-    if spacing is None:
-        sums, _ = _fourier_sums(tq, chf, xs)
-    else:
-        sums, _ = _fourier_sums(tq, chf, xs[::_INVERSION_SHIFTS], spacing, _INVERSION_SHIFTS)
-    return sums[: len(xs)].real / np.pi
+    sums, _ = _fourier_sums(tq, chf, xs, _grid_step(xs))
+    return sums.real / np.pi
 
 
 def histogram_density(samples: np.ndarray, radius: float, bin_width: float):
@@ -201,14 +214,13 @@ def histogram_density(samples: np.ndarray, radius: float, bin_width: float):
 def density_estimate(bc: BernoulliConvolution, n: int, bin_width: float = 0.01, cutoff: float = 200.0):
     """Histogram and Fourier-inversion densities on one bin-center grid.
 
-    The inversion reads the centers as a grid of step 2 radius / bins, the
-    spacing of the bins themselves (``bin_width`` is rounded to a whole
-    number of bins).
+    ``bin_width`` is rounded to a whole number of bins; the inversion reads
+    the centers as a grid of the bins' own spacing.
     """
     radius = bc.support_radius
     samples = bc.sample(n)
     centers, hist = histogram_density(samples, radius, bin_width)
-    inv = inversion_density(bc.lam, centers, cutoff, 2.0 * radius / len(centers))
+    inv = inversion_density(bc.lam, centers, cutoff)
     return centers, hist, inv
 
 

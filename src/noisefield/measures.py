@@ -45,7 +45,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import quadrature
-from .bernoulli import _INVERSION_SHIFTS, _fourier_sums, fourier_transform
+from .bernoulli import _fourier_sums, fourier_transform
 from .ifs import IteratedFunctionSystem, _moment_sum, bernoulli_system, pushforward_system
 from .sets import BorelSet
 
@@ -477,10 +477,10 @@ class BernoulliMeasure(SigmaFiniteMeasure):
             self._kernel = (nodes_t, weights_t * chf / nodes_t, n_half)
         return self._kernel
 
-    def _cdf_inversion(self, anchors, h=0.0, s=1):
-        """(F, |F - F_{T/2}|) at the points anchors[a] + b h, b < s, in that order."""
+    def _cdf_inversion(self, xs, step=None):
+        """(F, |F - F_{T/2}|) at xs, read as a grid of that step if one is given."""
         nodes_t, kern, n_half = self._inversion_kernel()
-        full, part = _fourier_sums(nodes_t, kern, anchors, h, s, split=n_half)
+        full, part = _fourier_sums(nodes_t, kern, xs, step, split=n_half)
         full = 0.5 + full.imag / np.pi
         return full, np.abs(full - (0.5 + part.imag / np.pi))
 
@@ -500,9 +500,7 @@ class BernoulliMeasure(SigmaFiniteMeasure):
         for a, b in A.intervals:
             # linspace(a, b, 257) is linspace(a, b, 513)[::2] bit for bit
             grid = np.linspace(a, b, 513)
-            s = _INVERSION_SHIFTS
-            cdfs, _ = self._cdf_inversion(grid[::s], (b - a) / 512, s)
-            cdfs = cdfs[: len(grid)]
+            cdfs, _ = self._cdf_inversion(grid, (b - a) / 512)
             fine = self._riemann(f, grid, cdfs)
             coarse = self._riemann(f, grid[::2], cdfs[::2])
             total += fine

@@ -16,7 +16,7 @@ from noisefield import (
     scaling_identity_residual,
 )
 from noisefield import quadrature, streams
-from noisefield.bernoulli import _INVERSION_NODES, _cutoff_panels, histogram_density
+from noisefield.bernoulli import _INVERSION_NODES, _cutoff_panels, _grid_step, histogram_density
 
 GOLDEN_INVERSE = 2.0 / (1.0 + np.sqrt(5.0))
 
@@ -170,6 +170,15 @@ def test_grid_inversion_matches_a_cosine_oracle(lam, h):
 def test_point_inversion_matches_a_cosine_oracle():
     xs = np.array([-1.7, -0.31, 0.0, 0.2, 1.05, 2.9])
     assert np.max(np.abs(inversion_density(0.6, xs) - _cosine_oracle(0.6, xs, 200.0))) <= 2e-15
+
+
+def test_inversion_reads_only_evenly_spaced_points_as_a_grid():
+    centers, _ = histogram_density(np.zeros(1), 3.0, 0.013)
+    assert _grid_step(centers) == pytest.approx(6.0 / len(centers), rel=1e-14)
+    bent = centers.copy()
+    bent[40] += 1e-9
+    assert _grid_step(bent) is None
+    assert np.max(np.abs(inversion_density(0.75, bent) - _cosine_oracle(0.75, bent, 200.0))) <= 2e-15
 
 
 def test_density_estimate_memory_does_not_grow_with_bins_times_nodes():

@@ -19,7 +19,7 @@ from noisefield import (
 )
 from noisefield import quadrature
 from noisefield.ifs import bernoulli_system
-from noisefield.bernoulli import _INVERSION_ROWS, _INVERSION_SHIFTS
+from noisefield.bernoulli import _INVERSION_ROWS
 from noisefield.measures import _INVERSION_CUTOFF
 from test_coeff_goldens import SYSTEMS
 
@@ -480,12 +480,11 @@ def test_bernoulli_grid_inversion_matches_the_point_inversion(lam):
     mu = BernoulliMeasure(lam)
     b = mu.support_hull()[1]
     grid = np.linspace(-b, b, 513)
-    s = _INVERSION_SHIFTS
-    by_grid, grid_errs = mu._cdf_inversion(grid[::s], 2 * b / 512, s)
+    by_grid, grid_errs = mu._cdf_inversion(grid, 2 * b / 512)
     by_point, point_errs = mu._cdf_inversion(grid)
-    assert len(by_grid) == s * len(grid[::s])
-    assert np.max(np.abs(by_grid[: len(grid)] - by_point)) <= 1e-13
-    assert np.max(np.abs(grid_errs[: len(grid)] - point_errs)) <= 1e-13
+    assert len(by_grid) == len(grid)
+    assert np.max(np.abs(by_grid - by_point)) <= 1e-13
+    assert np.max(np.abs(grid_errs - point_errs)) <= 1e-13
 
 
 def test_bernoulli_half_cutoff_nodes_are_a_prefix():
