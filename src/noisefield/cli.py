@@ -46,8 +46,9 @@ MAX_MOMENT_DEGREE = 64  # exact moments of high degree outgrow Python's int-to-s
 MAX_DENSITY_BINS = 1 << 20  # bernoulli --h: 2 lambda / ((1 - lambda) h) histogram bins
 # bernoulli-density: bins x 24 max(T, 32) terms of the inversion sum.  It
 # bounds time, not memory: the sum runs in node tiles (bernoulli._fourier_sums),
-# and at the bound it took 0.04-0.20 s with a 3-6 MB tracemalloc peak (one
-# BLAS thread, 2 cores; 21845 bins at T = 32 up to 200 bins at T = 3495).
+# and at the bound it took 0.03-0.24 s with a 1.6-4.0 MB tracemalloc peak
+# (lambda = 3/4, one BLAS thread, 2 cores; 21845 bins at T = 32 up to 200
+# bins at T = 3495).
 MAX_INVERSION_COSINES = 1 << 24
 MAX_SZEGO_NODES = 1 << 20  # szego-check: 25 trapezoid sums of this many nodes, 3.4 s and 121 MB
 MAX_EMBED_POINTS = 512  # boundary-embed: points^2 / 2 distance rows, 5.5 s and 173 MB

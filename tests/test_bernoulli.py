@@ -16,7 +16,13 @@ from noisefield import (
     scaling_identity_residual,
 )
 from noisefield import quadrature, streams
-from noisefield.bernoulli import _INVERSION_NODES, _cutoff_panels, _grid_step, histogram_density
+from noisefield.bernoulli import (
+    _INVERSION_NODES,
+    _cutoff_panels,
+    _grid_step,
+    _unit_phases,
+    histogram_density,
+)
 
 GOLDEN_INVERSE = 2.0 / (1.0 + np.sqrt(5.0))
 
@@ -170,6 +176,14 @@ def test_grid_inversion_matches_a_cosine_oracle(lam, h):
 def test_point_inversion_matches_a_cosine_oracle():
     xs = np.array([-1.7, -0.31, 0.0, 0.2, 1.05, 2.9])
     assert np.max(np.abs(inversion_density(0.6, xs) - _cosine_oracle(0.6, xs, 200.0))) <= 2e-15
+
+
+def test_unit_phases_in_a_reused_buffer_equal_exp_of_an_outer_product():
+    x = np.array([-2.5, -0.0, 0.0, 0.3, 1.7])
+    t = np.linspace(0.0, 200.0, 97)
+    buf = np.full(len(x) * len(t) + 3, np.nan + 1j)  # stale values must not leak
+    np.testing.assert_array_equal(_unit_phases(x, t, buf), np.exp(1j * np.outer(x, t)))
+    np.testing.assert_array_equal(_unit_phases(x[:2], t, buf), np.exp(1j * np.outer(x[:2], t)))
 
 
 def test_inversion_reads_only_evenly_spaced_points_as_a_grid():
