@@ -19,8 +19,8 @@ Every Fourier inversion of the cosine product, here and in
 ``measures.BernoulliMeasure``, runs through one kernel, ``_fourier_sums``:
 sums of kern_j e^{i x t_j}, with an evenly spaced grid read as anchor points
 plus multiples of its step, one (anchor rows) x (shift rows) complex product
-per node tile.  Its memory is one bounded block, whatever the number of
-points and nodes.
+per node tile.  Its memory is two fixed blocks, refilled in place for every
+tile, whatever the number of points and nodes.
 """
 
 from __future__ import annotations
