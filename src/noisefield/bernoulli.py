@@ -110,15 +110,17 @@ def coupled_samples(lams, n: int, stream_id) -> np.ndarray:
 def fourier_transform(lam: float, t, n_factors: int):
     """prod_{k<=n} cos(lam^k t) and the tail bound sum_{k>n} (lam^k t)^2 / 2.
 
-    The product is taken in place, factor by factor in order of k; a scalar t
-    gives a scalar product.
+    The product is taken in place, factor by factor in order of k, and each
+    factor's argument and cosine in one reused buffer: a large t given fresh
+    arrays per factor gets fresh pages from the allocator, faulted in on every
+    factor.  A scalar t gives a scalar product.
     """
     if n_factors < 1:
         raise ValueError("need at least one factor")
     t = np.asarray(t, dtype=float)
-    out = np.ones_like(t)
+    out, arg = np.ones_like(t), np.empty_like(t)
     for k in range(1, n_factors + 1):
-        out *= np.cos(lam**k * t)
+        out *= np.cos(np.multiply(lam**k, t, out=arg), out=arg)
     tail = (np.asarray(t) ** 2) * lam ** (2 * (n_factors + 1)) / (2.0 * (1.0 - lam**2))
     return out[()], tail
 

@@ -47,18 +47,57 @@ The tile is not part of the replay contract: every value is a pure function
 of its coordinate and every reduction runs row by row, so no tile size
 changes a byte.  Tile buffers belong to one call, so concurrent calls share
 nothing.
+
+``ndtri`` is scipy's ufunc, taken from the extension ``scipy.special._ufuncs``
+alone (``_special_ufuncs``): ``import scipy.special`` also loads scipy's
+array-API layer, with ``numpy.f2py`` and ``numpy.testing``, which took about
+0.25 of the 0.45 s a CLI process spent starting.  While the extension loads, a
+placeholder ``scipy.special`` package (the installed one, its ``__init__`` not
+run) stands in ``sys.modules`` for the submodules the extension imports; it is
+removed afterwards.  A later ``import scipy.special`` runs the real
+``__init__`` and finds the same ufunc, but reaches the helper extensions loaded
+meanwhile (``_ufuncs_cxx``, ``_special_ufuncs``, ``_gufuncs``,
+``_ellip_harm_2``) only through ``sys.modules``, not as package attributes.
+Importing ``scipy.special`` from another thread while ``noisefield`` is being
+imported is not supported: that thread could see the placeholder.  Where the
+extension cannot be loaded this way, ``ndtri`` comes from ``scipy.special``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import multiprocessing
 import os
+import sys
 import threading
 import time
 
 import numpy as np
-from scipy.special import ndtri
+
+
+def _special_ufuncs():
+    """``scipy.special._ufuncs``, loaded without running ``scipy/special/__init__.py``."""
+    name = "scipy.special._ufuncs"
+    if name in sys.modules or "scipy.special" in sys.modules:
+        return importlib.import_module(name)
+    package = importlib.util.module_from_spec(importlib.util.find_spec("scipy.special"))
+    sys.modules["scipy.special"] = package
+    try:
+        spec = importlib.machinery.PathFinder.find_spec(name, package.__path__)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules["scipy.special"]
+    sys.modules[name] = module
+    return module
+
+
+try:
+    ndtri = _special_ufuncs().ndtri
+except (ImportError, AttributeError):
+    from scipy.special import ndtri
 
 COIN_STREAM_VERSION = 3  # packed coins, byte-table sums; descriptors of coin-sampling outputs carry it
 

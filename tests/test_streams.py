@@ -2,9 +2,13 @@ import functools
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -616,3 +620,74 @@ def test_forked_workers_run_nested_drivers_in_process():
 def test_worker_count_is_validated(k):
     with pytest.raises(ValueError, match="worker count"), streams.workers(k):
         pass
+
+
+# -- how ndtri is loaded ------------------------------------------------------------
+
+# What ``from scipy.special import ndtri`` would also load: scipy's array-API layer
+# and the numpy subpackages it pulls in.
+_ARRAY_API_MODULES = ("scipy._lib._array_api", "scipy.special._support_alternative_backends",
+                      "numpy.f2py", "numpy.testing")
+
+
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's noisefield."""
+    src = str(Path(streams.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_ndtri_without_scipy_special_init():
+    _run_fresh(f"""
+        import sys
+        import noisefield.cli
+        from noisefield import streams
+        loaded = [m for m in {_ARRAY_API_MODULES!r} if m in sys.modules]
+        assert not loaded, loaded
+        assert "scipy.special" not in sys.modules
+        import scipy
+        assert "special" not in vars(scipy)
+        assert "scipy.special._ufuncs" in sys.modules
+
+        import scipy.special
+        assert "erf" in vars(sys.modules["scipy.special"])
+        assert abs(scipy.special.erf(0.5) - 0.5204998778130465) < 1e-15
+        assert scipy.special.ndtr(0.0) == 0.5
+        assert streams.ndtri is scipy.special.ndtri
+    """)
+
+
+def test_import_reuses_a_loaded_scipy_special():
+    _run_fresh("""
+        import sys
+        import scipy.special
+        real = sys.modules["scipy.special"]
+        from noisefield import streams
+        assert sys.modules["scipy.special"] is real
+        assert streams.ndtri is real.ndtri
+    """)
+
+
+def test_import_falls_back_to_scipy_special_when_the_extension_is_not_found():
+    # The finder misses the extension once, as a scipy whose layout the loader
+    # does not know would; the public import then finds it as usual.
+    _run_fresh("""
+        import sys
+        from importlib.machinery import PathFinder
+        find_spec, missed = PathFinder.find_spec.__func__, []
+
+        def find_spec_missing_once(cls, name, path=None, target=None):
+            if name == "scipy.special._ufuncs" and not missed:
+                missed.append(name)
+                return None
+            return find_spec(cls, name, path, target)
+
+        PathFinder.find_spec = classmethod(find_spec_missing_once)
+        from noisefield import streams
+        import scipy.special
+        assert missed
+        assert "erf" in vars(sys.modules["scipy.special"])
+        assert streams.ndtri is scipy.special.ndtri
+    """)
