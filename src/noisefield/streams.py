@@ -50,17 +50,18 @@ nothing.
 
 ``ndtri`` is scipy's ufunc, taken from the extension ``scipy.special._ufuncs``
 alone (``_special_ufuncs``): ``import scipy.special`` also loads scipy's
-array-API layer, with ``numpy.f2py`` and ``numpy.testing``, which took about
-0.25 of the 0.45 s a CLI process spent starting.  While the extension loads, a
-placeholder ``scipy.special`` package (the installed one, its ``__init__`` not
-run) stands in ``sys.modules`` for the submodules the extension imports; it is
-removed afterwards.  A later ``import scipy.special`` runs the real
-``__init__`` and finds the same ufunc, but reaches the helper extensions loaded
-meanwhile (``_ufuncs_cxx``, ``_special_ufuncs``, ``_gufuncs``,
-``_ellip_harm_2``) only through ``sys.modules``, not as package attributes.
-Importing ``scipy.special`` from another thread while ``noisefield`` is being
-imported is not supported: that thread could see the placeholder.  Where the
-extension cannot be loaded this way, ``ndtri`` comes from ``scipy.special``.
+array-API layer, with ``numpy.f2py`` and ``numpy.testing``, about half of what
+a CLI process spent starting (0.39 s against 0.20 s on 2 cores).  While the
+extension loads, a placeholder ``scipy.special`` package (the installed one,
+its ``__init__`` not run) stands in ``sys.modules`` for the submodules the
+extension imports; it is removed afterwards.  A later ``import scipy.special``
+runs the real ``__init__`` and finds the same ufunc, but reaches the helper
+extensions loaded meanwhile (``_ufuncs_cxx``, ``_special_ufuncs``,
+``_gufuncs``, ``_ellip_harm_2``) only through ``sys.modules``, not as package
+attributes.  Importing ``scipy.special`` from another thread while
+``noisefield`` is being imported is not supported: that thread could see the
+placeholder.  Where the extension cannot be loaded this way, ``ndtri`` comes
+from ``scipy.special``.
 """
 
 from __future__ import annotations
