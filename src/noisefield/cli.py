@@ -40,8 +40,8 @@ MIN_MC_SAMPLES = 100
 MAX_MC_SAMPLES = 1 << 30  # 2^17 grid blocks; a sample-path of this many rows is 8 GiB
 MAX_TRUNCATION = 1 << 15
 MAX_CUNTZ_CELLS = 1 << 24  # n^depth cells: a 128 MiB float64 diagonal
-MAX_PROXY_CUTOFF = 1e4  # ac2-proxy T: 2T Gauss panels of 8 nodes
-MAX_FBM_TIME = 100.0  # fbm-variance t: 3000 t / pi half-period panels of 24 nodes
+MAX_PROXY_CUTOFF = 10_000  # ac2-proxy T: 2T Gauss panels of 8 nodes
+MAX_FBM_TIME = 100  # fbm-variance t: 3000 t / pi half-period panels of 24 nodes
 MAX_MOMENT_DEGREE = 64  # exact moments of high degree outgrow Python's int-to-str limit
 MAX_DENSITY_BINS = 1 << 20  # bernoulli --h: 2 lambda / ((1 - lambda) h) histogram bins
 # bernoulli-density: bins x 24 max(T, 32) terms of the inversion sum.  It
@@ -227,43 +227,6 @@ def _descriptor(args, **extra) -> dict:
     return {k: v for k, v in d.items() if v is not None}
 
 
-def _check_bounds(args):
-    n = getattr(args, "N", None)
-    if n is not None and not MIN_MC_SAMPLES <= n <= MAX_MC_SAMPLES:
-        raise UsageError(f"--N must lie in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]")
-    for flag, hi in (("T_values", MAX_PROXY_CUTOFF), ("times", MAX_FBM_TIME)):
-        vals = getattr(args, flag, None)
-        if vals is not None and not all(v <= hi for v in vals):  # also rejects nan
-            raise UsageError(f"each value of --{flag.replace('_', '-')} must be at most {hi:g}")
-    weights = getattr(args, "weights", None)
-    if weights is not None and not all(0.0 <= w <= 1.0 for w in weights):  # also rejects nan
-        raise UsageError("each value of --weights must lie in [0, 1]")
-    h = getattr(args, "h", None)
-    if h is not None:
-        _check_density_grid(args.lam, h, getattr(args, "T", None))
-    nodes = getattr(args, "nodes", None)
-    if nodes is not None and not 1 <= nodes <= MAX_SZEGO_NODES:
-        raise UsageError(f"--nodes must lie in [1, {MAX_SZEGO_NODES}]")
-    factors = getattr(args, "factors", None)
-    if factors is not None and not 1 <= factors <= MAX_JULIA_FACTORS:
-        raise UsageError(f"--factors must lie in [1, {MAX_JULIA_FACTORS}]")
-    degree = getattr(args, "degree", None)
-    if degree is not None and degree > MAX_MOMENT_DEGREE:
-        raise UsageError(f"--degree must be at most {MAX_MOMENT_DEGREE}")
-    J = getattr(args, "J", None)
-    if J is not None and not 1 <= J <= MAX_TRUNCATION:
-        raise UsageError(f"--J must lie in [1, {MAX_TRUNCATION}]")
-    seed = getattr(args, "seed", None)
-    if seed is not None and not 0 <= seed < 1 << 64:
-        raise UsageError("--seed must lie in [0, 2**64)")
-    if args.workers is None:
-        return  # the library default
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
-    if args.workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        raise UsageError("--workers above 1 needs the fork start method")
-
-
 def _check_density_grid(lam, h, T):
     """Bound the Bernoulli histogram bins and, with a cutoff T, the inversion's cosines.
 
@@ -357,9 +320,9 @@ def cmd_ifs_moments(args):
 
 def cmd_cuntz_check(args):
     system = parse_ifs(args.ifs)
-    n, cap = system.n_branches, MAX_CUNTZ_CELLS  # n >= 2, so n^d <= cap needs d < cap.bit_length()
-    if not 1 <= args.depth <= max(d for d in range(cap.bit_length()) if n**d <= cap):
-        raise UsageError(f"--depth must be >= 1 with at most {MAX_CUNTZ_CELLS} cells n^depth")
+    if system.n_branches**args.depth > MAX_CUNTZ_CELLS:
+        raise UsageError(f"--depth {args.depth} gives {system.n_branches}^{args.depth} cells; "
+                         f"at most {MAX_CUNTZ_CELLS} are allowed")
     r1, r2 = ifs_mod.cuntz_relation_residual(system, args.depth)
     closed = ifs_mod.closedness_residual(system)
     desc = _descriptor(args, ifs=system.to_descriptor(), depth=args.depth)
@@ -396,16 +359,12 @@ def cmd_ac2_proxy(args):
 
 
 def cmd_boundary_embed(args):
-    if not 0 <= args.points <= MAX_EMBED_POINTS:  # julia-kernel's --points is a string
-        raise UsageError(f"--points must lie in [0, {MAX_EMBED_POINTS}]")
     if args.kernel == "brownian":
         kernel = kernels.BrownianKernel()
         points = list(np.linspace(0.0, 1.0, args.points))
-    elif args.kernel == "szego":
+    else:
         kernel = kernels.SzegoKernel()
         points = [0.9 * np.exp(2j * np.pi * k / args.points) for k in range(args.points)]
-    else:
-        raise UsageError(f"unknown kernel {args.kernel!r} for embedding")
     J = args.J or kernel.default_J
     rows = [
         [_fmt(points[i]), _fmt(points[j]), emb, ref, abs(emb - ref)]
@@ -486,6 +445,26 @@ def _float_list(text):
     return [float(v) for v in text.split(",")]
 
 
+def _bounded(kind, lo=-math.inf, hi=math.inf):
+    """An argparse ``type=`` that parses ``kind`` (``int``, ``float`` or ``_float_list``)
+    and admits only values in [lo, hi], each value of a list on its own; a nan fails
+    the comparison.  argparse turns the ``ArgumentTypeError`` into exit 2 naming the
+    flag.  ``lo`` and ``hi`` stay on the converter, and ``bound`` words them.
+    """
+    span = (f"at most {hi}" if lo == -math.inf else f"at least {lo}" if hi == math.inf
+            else f"in [{lo}, {hi}]")
+    each = "each value " if kind is _float_list else ""
+
+    def convert(text):
+        value = kind(text)  # a ValueError: argparse says "invalid <kind> value"
+        if not all(lo <= v <= hi for v in (value if kind is _float_list else [value])):
+            raise argparse.ArgumentTypeError(f"{each}must be {span}, not {text!r}")
+        return value
+
+    convert.__name__, convert.lo, convert.hi, convert.bound = kind.__name__, lo, hi, each + span
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noisefield",
@@ -493,20 +472,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def bounded(p, flag, help, kind, lo=-math.inf, hi=math.inf, **kw):
+        convert = _bounded(kind, lo, hi)
+        p.add_argument(flag, type=convert, help=f"{help} ({convert.bound})", **kw)
+
     def common(p, seed=True, N=None, J=False):
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--workers", type=int, default=None,
-                       help="processes for the Monte Carlo block loop (>= 1; default: the "
-                       "CPUs this process may use); artifacts are byte-identical for every "
-                       "count and it is not part of the descriptor")
+        bounded(p, "--workers", "processes for the Monte Carlo block loop, by default the CPUs "
+                "this process may use; artifacts are byte-identical for every count and it is "
+                "not part of the descriptor", int, 1)
         if seed:
-            p.add_argument("--seed", type=int, default=7)
+            bounded(p, "--seed", "stream id of the draws", int, 0, (1 << 64) - 1, default=7)
         if N is not None:
-            p.add_argument("--N", type=int, default=N,
-                           help=f"Monte Carlo samples, in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}]")
+            bounded(p, "--N", "Monte Carlo samples", int, MIN_MC_SAMPLES, MAX_MC_SAMPLES, default=N)
         if J:
-            p.add_argument("--J", type=int, default=None)
+            bounded(p, "--J", "basis functions kept in the series", int, 1, MAX_TRUNCATION)
 
     p = sub.add_parser("sample-path", help="draws of W_A")
     p.add_argument("--measure", required=True)
@@ -541,13 +522,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ifs-moments", help="exact invariant-measure moments")
     p.add_argument("--ifs", required=True)
-    p.add_argument("--degree", type=int, default=8, help=f"at most {MAX_MOMENT_DEGREE}")
+    bounded(p, "--degree", "highest moment degree", int, 0, MAX_MOMENT_DEGREE, default=8)
     common(p, seed=False)
     p.set_defaults(func=cmd_ifs_moments)
 
     p = sub.add_parser("cuntz-check", help="isometry-relation residuals")
     p.add_argument("--ifs", required=True)
-    p.add_argument("--depth", type=int, default=8)
+    # n >= 2 branches, so n^depth cells fit under the cap only below its bit length
+    bounded(p, "--depth", "word length of the cells", int, 1, MAX_CUNTZ_CELLS.bit_length() - 1,
+            default=8)
     common(p, seed=False)
     p.set_defaults(func=cmd_cuntz_check)
 
@@ -563,31 +546,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bernoulli-scaling", help="scaling-law residuals")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--h", type=float, default=0.01, help=h_help)
-    p.add_argument("--weights", type=_float_list, default=[0.5], help="each in [0, 1]")
+    bounded(p, "--weights", "weights of the scaling identity", _float_list, 0, 1, default=[0.5])
     common(p, N=1_000_000)
     p.set_defaults(func=cmd_bernoulli_scaling)
 
     p = sub.add_parser("ac2-proxy", help="square-integrability proxy curve")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--T-values", dest="T_values", type=_float_list, default=[50.0, 100.0, 200.0],
-                   help=f"cutoffs, each at most {MAX_PROXY_CUTOFF:g}")
+    bounded(p, "--T-values", "cutoffs", _float_list, hi=MAX_PROXY_CUTOFF, dest="T_values",
+            default=[50.0, 100.0, 200.0])
     common(p, seed=False)
     p.set_defaults(func=cmd_ac2_proxy)
 
     p = sub.add_parser("boundary-embed", help="embedding distance table")
-    p.add_argument("--kernel", default="brownian")
-    p.add_argument("--points", type=int, default=16, help=f"in [0, {MAX_EMBED_POINTS}]")
+    p.add_argument("--kernel", choices=("brownian", "szego"), default="brownian")
+    bounded(p, "--points", "points embedded", int, 0, MAX_EMBED_POINTS, default=16)
     common(p, seed=False, J=True)
     p.set_defaults(func=cmd_boundary_embed)
 
     p = sub.add_parser("szego-check", help="boundary integral vs closed form")
-    p.add_argument("--nodes", type=int, default=2048, help=f"in [1, {MAX_SZEGO_NODES}]")
+    bounded(p, "--nodes", "trapezoid nodes on the circle", int, 1, MAX_SZEGO_NODES, default=2048)
     common(p, seed=False)
     p.set_defaults(func=cmd_szego_check)
 
     p = sub.add_parser("julia-kernel", help="membership verdicts and kernel values")
     p.add_argument("--points", default="0;2;1;0.1;-0.15")
-    p.add_argument("--factors", type=int, default=24, help=f"in [1, {MAX_JULIA_FACTORS}]")
+    bounded(p, "--factors", "factors of the product kernel", int, 1, MAX_JULIA_FACTORS, default=24)
     common(p, seed=False)
     p.set_defaults(func=cmd_julia_kernel)
 
@@ -606,8 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fbm-variance", help="spectral variance scaling table")
     p.add_argument("--hurst", type=_float_list, default=[0.25, 0.5, 0.75])
-    p.add_argument("--times", type=_float_list, default=[1.0, 4.0],
-                   help=f"each at most {MAX_FBM_TIME:g}")
+    bounded(p, "--times", "increment lengths t", _float_list, hi=MAX_FBM_TIME, default=[1.0, 4.0])
     common(p, seed=False)
     p.set_defaults(func=cmd_fbm_variance)
 
@@ -618,7 +600,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_bounds(args)
+        if hasattr(args, "h"):  # the one rule across flags: bins and cosines from --lambda
+            _check_density_grid(args.lam, args.h, getattr(args, "T", None))
+        if (args.workers or 1) > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            raise UsageError("--workers above 1 needs the fork start method")
         with contextlib.nullcontext() if args.workers is None else streams.workers(args.workers):
             args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at exit

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from noisefield import cli, streams
+from noisefield import streams
 from noisefield.cli import UsageError, build_parser, main, parse_measure, parse_set
 
 N_POOL = 3 * 8192 + 5
@@ -177,6 +177,8 @@ def test_cuntz_check_huge_depth_is_a_usage_error_at_once(capsys):
     (["julia-kernel", "--factors", str(2**16 + 1)], "--factors"),
     (["julia-kernel", "--factors", "100000000"], "--factors"),
     (["julia-kernel", "--factors", str(2**64)], "--factors"),
+    (["ifs-moments", "--ifs", "cantor", "--degree", "-1"], "--degree"),
+    (["boundary-embed", "--kernel", "gauss"], "--kernel"),
 ])
 def test_sizes_past_their_bounds_are_usage_errors_at_once(capsys, argv, flag):
     # each of these overflowed (exit 1), failed inside numpy (exit 3) or ran
@@ -190,19 +192,13 @@ def test_sizes_past_their_bounds_are_usage_errors_at_once(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
-def test_seed_outside_the_stream_ids(monkeypatch, capsys, seed):
-    argv = ["sample-path", "--measure", "lebesgue:0,1", "--A", "0,0.5", "--N", "100",
-            "--J", "8", "--seed", str(seed)]
+def test_seed_outside_the_stream_ids(capsys, seed):
+    # the stream layer rejects these ids too: test_stream_ids_outside_64_bits_are_rejected
     with pytest.raises(SystemExit) as exit_info:
-        main(argv)
+        main(["sample-path", "--measure", "lebesgue:0,1", "--A", "0,0.5", "--N", "100",
+              "--J", "8", "--seed", str(seed)])
     assert exit_info.value.code == 2
     assert "--seed" in capsys.readouterr().err
-    # past the bounds check the stream layer rejects the id itself
-    monkeypatch.setattr(cli, "_check_bounds", lambda args: None)
-    assert main(argv) == 3
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"]["type"] == "ValueError"
-    assert "stream id" in record["error"]["message"]
 
 
 def test_boundary_embed_distance_table(tmp_path):

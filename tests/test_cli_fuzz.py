@@ -4,10 +4,13 @@ Every invocation ends in exit 0 with an artifact free of nan, exit 2 (a usage
 error) or exit 3 with a JSON error record.  The cases start from one valid
 small-N argv per subcommand and replace one flag value at a time, taking the
 flags from the parser's own actions.  They run in process: the bounds keep
-every accepted size small.
+every accepted size small.  Each bounded flag's edges, lo - 1, lo, hi and
+hi + 1 as its converter holds them, are checked at parse level: a run at hi
+could take minutes.
 """
 
 import json
+import math
 import random
 import time
 
@@ -38,10 +41,22 @@ VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "", str(2**64), "0.5,0.5", "
 SKIP = {"--out"}  # the case reads its artifact from there
 
 
+def _actions(command):
+    return next(a for a in build_parser()._actions if a.dest == "command").choices[command]._actions
+
+
 def _flags(command):
-    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
-    flags = [a.option_strings[-1] for a in sub._actions if a.option_strings and a.nargs != 0]
+    flags = [a.option_strings[-1] for a in _actions(command) if a.option_strings and a.nargs != 0]
     return [f for f in flags if f not in SKIP]
+
+
+def _argv(command, flag, value):
+    """The base case of ``command`` with ``flag`` set to ``value``."""
+    argv = [command, *BASE[command].split()]
+    if flag in argv:
+        i = argv.index(flag)
+        del argv[i : i + 2]
+    return argv + [f"{flag}={value}"]
 
 
 def _cases(seed=19):
@@ -49,14 +64,18 @@ def _cases(seed=19):
     for command, base in BASE.items():
         assert set(_flags(command)) >= {tok for tok in base.split() if tok.startswith("--")}
         for flag in _flags(command):
-            for value in VALUES:
-                argv = [command, *base.split()]
-                if flag in argv:
-                    i = argv.index(flag)
-                    del argv[i : i + 2]
-                cases.append(argv + [f"{flag}={value}"])
+            cases.extend(_argv(command, flag, value) for value in VALUES)
     random.Random(seed).shuffle(cases)
     return cases
+
+
+def _edges(command):
+    """(action, value, admitted) at lo - 1, lo, hi and hi + 1 of each finite bound."""
+    for action in _actions(command):
+        lo, hi = getattr(action.type, "lo", -math.inf), getattr(action.type, "hi", math.inf)
+        for value, admitted in ((lo - 1, False), (lo, True), (hi, True), (hi + 1, False)):
+            if math.isfinite(value):
+                yield action, value, admitted
 
 
 def _run(argv, out, capsys):
@@ -91,6 +110,29 @@ def test_every_case_keeps_the_exit_contract(tmp_path, capsys):
             broken.append(f"{argv[0]} {argv[-1]} -> exit {code}")
     assert not broken, "\n".join(sorted(broken))
     assert time.perf_counter() - start < 30.0
+
+
+def test_each_bound_admits_its_edges_and_rejects_past_them(capsys):
+    parser = build_parser()
+    edges = [(command, *edge) for command in BASE for edge in _edges(command)]
+    assert {action.option_strings[-1] for _, action, _, _ in edges} == {
+        "--workers", "--seed", "--N", "--J", "--degree", "--depth", "--points", "--nodes",
+        "--factors", "--T-values", "--times", "--weights"}
+    for command, action, value, admitted in edges:
+        flag = action.option_strings[-1]
+        argv = _argv(command, flag, value)
+        if admitted:
+            assert getattr(parser.parse_args(argv), action.dest) in (value, [value]), argv
+            continue
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        assert exit_info.value.code == 2, argv
+        assert f"argument {flag}: " in capsys.readouterr().err, argv
+
+
+def test_every_int_flag_is_bounded():
+    bare = {a.option_strings[-1] for command in BASE for a in _actions(command) if a.type is int}
+    assert not bare, f"type=int without a bound: {sorted(bare)}"
 
 
 @pytest.mark.parametrize("argv", [f"{c} {b}".split() for c, b in BASE.items()], ids=list(BASE))
