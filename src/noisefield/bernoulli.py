@@ -7,7 +7,7 @@ per-byte tables of signed weight sums (``streams.sign_sums``, stream version
 3): for lam = 1/2 every partial sum is exact, for other lam the sums are
 regrouped and may move in the last bits from a term-by-term sum.
 ``coupled_samples`` still reduces a +-1 matrix, which its several weight
-vectors share, drawn in row tiles of about ``streams._TILE_WORDS`` coins.
+vectors share, one ``streams._row_tiles`` tile at a time.
 Closed forms implemented here: the covariance lam*rho/(1 - lam*rho) of
 coupled series, the cosine-product transform prod_n cos(lam^n t), and the
 geometric coefficient embedding into the zero-at-origin Hardy space.
@@ -94,14 +94,13 @@ def coupled_samples(lams, n: int, stream_id) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     K = _series_terms(lams.max())
     powers = lams[None, :] ** np.arange(1, K + 1)[:, None]  # (K, m)
-    step = max(1, streams._TILE_WORDS // K)  # ``linear_forms``' row tile
 
     def block(row, m):
         out = np.empty((m, len(lams)))
-        for r in range(0, m, step):
-            coins = streams.sign_matrix(stream_id, min(step, m - r), K, row + r)
+        for r, rows, coins, product in streams._row_tiles(m, K, float, float):
+            coins = streams.sign_matrix(stream_id, rows, K, row + r, out=coins)
             for col, p in enumerate(powers.T):
-                out[r : r + len(coins), col] = streams.row_dot(coins, p)
+                streams.row_dot(coins, p, out[r : r + rows, col], product)
         return out
 
     return streams.emit_rows(np.empty((n, len(lams))), 0, block)

@@ -53,6 +53,7 @@ MAX_INVERSION_COSINES = 1 << 24
 MAX_SZEGO_NODES = 1 << 20  # szego-check: 25 trapezoid sums of this many nodes, 3.4 s and 121 MB
 MAX_EMBED_POINTS = 512  # boundary-embed: points^2 / 2 distance rows, 5.5 s and 173 MB
 MAX_JULIA_FACTORS = 1 << 16  # julia-kernel: a Python step per factor and point; 1e5 took 0.45 s
+MAX_JULIA_POINTS = 512  # julia-kernel: points^2 / 2 kernel rows
 
 
 class UsageError(Exception):
@@ -387,8 +388,11 @@ def cmd_szego_check(args):
 
 
 def cmd_julia_kernel(args):
+    parts = args.points.split(";")
+    if len(parts) > MAX_JULIA_POINTS:
+        raise UsageError(f"--points takes at most {MAX_JULIA_POINTS} points, got {len(parts)}")
     try:
-        points = [complex(p) for p in args.points.split(";")]
+        points = [complex(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"malformed --points {args.points!r}: {exc}") from exc
     if not all(map(cmath.isfinite, points)):
@@ -396,10 +400,10 @@ def cmd_julia_kernel(args):
     verdicts = [kernels.julia_membership(z) for z in points]
     rows = [[_fmt(z), v] for z, v in zip(points, verdicts)]
     members = [z for z, v in zip(points, verdicts) if v == kernels.INSIDE]
-    kernel = kernels.JuliaProductKernel(n_factors=args.factors)
+    G = kernels.JuliaProductKernel(n_factors=args.factors).gram(members)
     for i, z in enumerate(members):
-        for w in members[i:]:
-            rows.append([f"C({_fmt(z)},{_fmt(w)})", _fmt(kernel.evaluate(z, w))])
+        for j, w in enumerate(members[i:], i):
+            rows.append([f"C({_fmt(z)},{_fmt(w)})", _fmt(G[i, j])])
     desc = _descriptor(args, points=args.points, factors=args.factors)
     _emit(args, desc, ["entry", "value"], rows)
 

@@ -38,6 +38,7 @@ _ESCAPE_RADIUS = 2.1
 _L1_BUDGET = 1e6
 _TAIL_RATIO = 0.9
 _TAIL_WINDOW = 10
+_JULIA_TILE = 1 << 16  # complex factors per product tile of JuliaProductKernel.gram
 
 
 class PositiveDefiniteKernel:
@@ -163,11 +164,31 @@ class JuliaProductKernel(PositiveDefiniteKernel):
             raise ValueError(f"point {z} is not a certified member (verdict: {verdict})")
 
     def evaluate(self, z, w):
-        self.require_member(z)
-        self.require_member(w)
-        oz = julia_orbit(z, self.n_factors)
-        ow = julia_orbit(w, self.n_factors)
-        return complex(np.prod(1.0 + oz * np.conj(ow)))
+        return complex(self.gram([z], [w])[0, 0])
+
+    def gram(self, zs, ws=None) -> np.ndarray:
+        """C(z, w) for each z of zs and w of ws (default zs), one orbit per member.
+
+        Each entry is ``np.prod`` of its own row of factors.  A (1, n) orbit
+        times a block of about ``_JULIA_TILE`` conjugate-orbit factors rounds
+        as a lone pair's vectors do (a 1 x 1 broadcast would skip numpy's fused
+        multiply-add), so no entry's bits depend on the other points.
+        """
+        oz = self._orbits(zs)
+        ow = np.conj(oz if ws is None else self._orbits(ws))
+        out = np.empty((len(oz), len(ow)), dtype=complex)
+        step = max(1, _JULIA_TILE // self.n_factors)
+        for i in range(len(oz)):
+            for j in range(0, len(ow), step):
+                out[i, j : j + step] = np.prod(1.0 + oz[i : i + 1] * ow[j : j + step], axis=1)
+        return out
+
+    def _orbits(self, zs) -> np.ndarray:
+        """(len(zs), n_factors) orbits of certified members."""
+        zs = list(zs)
+        for z in zs:
+            self.require_member(z)
+        return np.array([julia_orbit(z, self.n_factors) for z in zs]).reshape(len(zs), self.n_factors)
 
     def tail_bound(self, z, w) -> float:
         oz = np.abs(julia_orbit(z, 2 * self.n_factors))[self.n_factors :]

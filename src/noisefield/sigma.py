@@ -36,6 +36,7 @@ from . import quadrature, streams
 from .bases import PiecewiseBasis, WalshBasis, regular_basis
 from .measures import (
     SigmaFiniteMeasure,
+    _distinct,
     _radon_nikodym,
     _regular_derivative,
     _same_singular,
@@ -119,18 +120,15 @@ def add(F1: SigmaFunction, F2: SigmaFunction) -> SigmaFunction:
     """Representative of the sum over the dominating measure lam = mu1 + mu2."""
     lam = sum_measure(F1.mu, F2.mu)
     g1, g2 = _representative(F1, lam), _representative(F2, lam)
-    grid = np.unique(np.concatenate([F1.grid, F2.grid]))
+    grid = _distinct(np.concatenate([F1.grid, F2.grid]))
     return SigmaFunction(lambda x: g1(x) + g2(x), lam, grid=grid)
 
 
 def equivalence_residual(F1: SigmaFunction, F2: SigmaFunction) -> float:
     """max over the grid of |f1 sqrt(d mu1/d lam) - f2 sqrt(d mu2/d lam)|, lam = mu1 + mu2."""
     lam = sum_measure(F1.mu, F2.mu)
-    grid = np.unique(
-        np.concatenate(
-            [F1.grid, F2.grid, np.asarray([x for x, _ in lam.atoms()], dtype=float)]
-        )
-    )
+    atoms = np.asarray([x for x, _ in lam.atoms()], dtype=float)
+    grid = _distinct(np.concatenate([F1.grid, F2.grid, atoms]))
     return float(np.max(np.abs(_representative(F1, lam)(grid) - _representative(F2, lam)(grid))))
 
 

@@ -13,11 +13,8 @@ packed 64 to a word: coin k of a stream is bit k % 64 (least significant
 first) of its word k // 64, read through a little-endian byte view, so a
 series of K coins draws ceil(K / 64) words and no coin depends on the host's
 byte order.  Bit b gives the coin 1 - 2b.  ``sign_sums`` reduces weighted
-coin series without forming the +-1 matrix: one 256-entry table per coin
-byte holds the signed sums of that byte's 8 weights, added in coin order, and
-a row's series is the sum of its bytes' table entries in byte order (version
-3 of the coin stream; the regrouped sums may move in the last bits, except
-for powers of 2, whose partial sums are exact).
+coin series through per-byte tables, without forming the +-1 matrix (version
+3 of the coin stream).
 
 Sample row ``n`` of a stream is the per-sample substream ``substream(s, n)``.
 Samplers walk sample rows on one grid of ``_BLOCK_ROWS`` (2^13) rows through
@@ -25,28 +22,23 @@ a ``block(row, m)`` that returns the values of m rows, each reduced on its
 own, so emitted samples (``emit_rows``) do not depend on the grid.
 ``mc_mean`` merges per-block (count, mean, M2) pairwise in block order (Chan,
 Golub & LeVeque 1983), so for it the grid is part of the replay contract.
-Both drivers run the blocks on the caller and k - 1 forked workers and take
-the results in block order, so k changes no byte.  ``workers(k)``, a
-process-wide setting, fixes k.  By default k is the process's CPU count, or 1
-where it has a live thread or no ``fork``, and the caller first times a few
-rows of block 0 (``_probe``): the pool starts only when the blocks, at that
-pace, would save more than its measured start-up and per-block transfer cost
-(``_pool_pays``), so cheap samplers never fork.  That choice depends on the
-clock, but no byte depends on it.
+Both drivers take the blocks from ``_walk`` in block order, whether it runs
+them on the caller alone or with k - 1 forked workers (``workers(k)``, by
+default where ``_pool_pays``), so k changes no byte.
 Every Gaussian functional is a function of finitely many linear forms <c, xi>:
 ``linear_forms`` computes them from a (k, J) coefficient array and draws only
 the union of the forms' nonzero columns, which is exact because every
 coordinate is addressed by its index.
 
-Words are generated by one kernel, ``_fill``, which walks its output in tiles
-of about ``_TILE_WORDS`` (2^15) words, so that the word buffer stays in the
-L2 cache: it hashes a tile into a reused ``uint64`` buffer, runs the
-finalizer in place and writes the tile's uniforms, normals or words straight
-into the output.  ``linear_forms`` walks each grid block in such tiles too.
-The tile is not part of the replay contract: every value is a pure function
-of its coordinate and every reduction runs row by row, so no tile size
-changes a byte.  Tile buffers belong to one call, so concurrent calls share
-nothing.
+Words are generated by one kernel, ``_fill``, and every row loop (``_fill``'s,
+``linear_forms``, ``sign_sums``, ``bernoulli.coupled_samples``) walks the rows
+of a call in ``_row_tiles`` of about ``_TILE_WORDS`` (2^15) words, so that a
+tile's buffers (hash words, finalizer scratch, normals, ``row_dot`` products)
+stay in the L2 cache.  The call allocates them once and each tile uses a
+C-contiguous prefix of each, so a reduction sees a fresh array's layout.  No
+tile size changes a byte: every value is a pure function of its coordinate and
+every reduction runs row by row.  Buffers belong to one call, so concurrent
+calls share nothing.
 
 ``ndtri`` is scipy's ufunc, taken from the extension ``scipy.special._ufuncs``
 alone (``_special_ufuncs``): ``import scipy.special`` also loads scipy's
@@ -117,14 +109,13 @@ _block = None  # the block a forked worker runs
 #   samplers, as (t2 - t1 / 2 - 15 ms) / 61 over 123 blocks (t1 -> t2: Cantor
 #   chaos game 72 -> 131 ms, 1e6 Bernoulli(0.75) draws 67 -> 126 ms,
 #   Bernoulli(0.5) 36 -> 79 ms).
-# The probe times 2^10 rows: the faster of two calls after an untimed one
-# that pays for first use (which slows a whole block 0 by up to 2x).  Scaled
-# to a block, it overstates cheap blocks about 2x by their per-call cost
-# (chaos game 1.05 against 0.54 ms, Bernoulli(0.5) 0.51 against 0.16 ms) and
-# hits costly ones within 10% (boundary_process_cov 214 against 219 ms).  At
-# k = 2 a walk of 123 blocks forks above 2.25 ms a block and one of 13 above
-# 4.5 ms; in fresh processes, idle or beside a busy loop, the chaos game and
-# Bernoulli estimates stayed 1.2-4x below that line (1.04-1.83 ms and
+# First use slows a whole block 0 by up to 2x, so ``_probe`` does not time it.
+# Scaled to a block, the probe overstates cheap blocks about 2x by their
+# per-call cost (chaos game 1.05 against 0.54 ms, Bernoulli(0.5) 0.51 against
+# 0.16 ms) and hits costly ones within 10% (boundary_process_cov 214 against
+# 219 ms).  At k = 2 a walk of 123 blocks forks above 2.25 ms a block and one of
+# 13 above 4.5 ms; in fresh processes, idle or beside a busy loop, the chaos
+# game and Bernoulli estimates stayed 1.2-4x below that line (1.04-1.83 ms and
 # 0.47-1.33 ms), the characteristic-functional and moment ones at 2.2-3.9 ms
 # with one 4.6 (where forking is about even), and coupled_samples 1.5-2.3x
 # above it (6.8-10.3 ms); the lifts, sample_pair and boundary_process_cov
@@ -187,9 +178,12 @@ def normal_matrix(stream_id, n_samples, n_coords, first_sample=0) -> np.ndarray:
     )
 
 
-def normal_matrix_at(stream_id, n_samples, indices, first_sample=0) -> np.ndarray:
-    """Rows are per-sample substreams, columns the requested coordinate indices."""
-    return _fill_rows(stream_id, first_sample, n_samples, indices, _normal)
+def normal_matrix_at(stream_id, n_samples, indices, first_sample=0, out=None, buffers=None):
+    """Rows are per-sample substreams, columns the requested coordinate indices.
+
+    ``out`` takes the normals, ``buffers`` are ``_fill``'s; neither moves a value.
+    """
+    return _fill_rows(stream_id, first_sample, n_samples, indices, _normal, out, buffers)
 
 
 def uniform_matrix(stream_id, n_samples, n_coords, first_sample=0) -> np.ndarray:
@@ -228,56 +222,67 @@ def _word(words, out):
     return out
 
 
-def _coins(words, count) -> np.ndarray:
+def _coins(words, count, out=None) -> np.ndarray:
     """+-1 coins 0 .. count-1 of each row of ``words``: coin k is bit k % 64 of word k // 64."""
     octets = words.astype("<u8", copy=False).view(np.uint8)  # byte order fixed, not the host's
     bits = np.unpackbits(octets, axis=-1, count=count, bitorder="little")
-    out = np.empty(bits.shape)
-    np.multiply(bits, -2.0, out=out)
+    out = np.multiply(bits, -2.0, out=out)
     out += 1.0
     return out
 
 
-def _fill_rows(stream_id, first, n_rows, indices, finish, dtype=float) -> np.ndarray:
-    """(n_rows, len(indices)) values: row r reads the substream of sample ``first + r``."""
+def _fill_rows(stream_id, first, n_rows, indices, finish, out=None, buffers=None, dtype=float):
+    """(n_rows, len(indices)) values (into ``out``): row r reads the substream of ``first + r``."""
     rows = substream(stream_id, np.arange(first, first + n_rows, dtype=np.uint64))
-    bases = _finalize(rows ^ _STREAM_SALT)
-    return _fill(bases, indices, np.empty((n_rows, len(indices)), dtype), finish)
+    out = np.empty((n_rows, len(indices)), dtype) if out is None else out
+    return _fill(_finalize(rows ^ _STREAM_SALT), indices, out, finish, buffers)
 
 
-def _fill(bases, indices, out, finish) -> np.ndarray:
+def _row_tiles(m, width, *buffers):
+    """Yield ``(r, n, *tiles)`` for the row tiles r .. r + n - 1 of m rows of ``width`` values.
+
+    The one place where ``_TILE_WORDS`` becomes a row step; a tile has at
+    least one row and at most m.  It views the first n * width elements of
+    each of ``buffers``: arrays of at least one tile, or dtypes for which one
+    is allocated here.
+    """
+    step = max(1, min(m, _TILE_WORDS // max(width, 1)))
+    flat = [b if isinstance(b, np.ndarray) else np.empty(step * width, b) for b in buffers]
+    for r in range(0, m, step):
+        n = min(step, m - r)
+        yield (r, n, *(f.reshape(-1)[: n * width].reshape(n, width) for f in flat))
+
+
+def _fill(bases, indices, out, finish, buffers=None) -> np.ndarray:
     """Fill ``out[r, c]`` from the word of coordinate ``indices[c]`` on the counter ``bases[r]``.
 
-    Walks ``out`` in tiles of at most ``_TILE_WORDS`` words (whole rows when
-    they fit, else pieces of one row): each tile's counters go into one
-    reused word buffer, are finalized in place, and ``finish(words, tile)``
-    writes their values into the tile of ``out``.
+    Walks ``out`` in ``_row_tiles``, a row wider than a tile in pieces of
+    ``_TILE_WORDS`` columns: each tile's counters go into the word buffer, are
+    finalized in place with the scratch buffer (``buffers``, else allocated
+    here), and ``finish(words, tile)`` writes their values into ``out``.
     """
     bases = np.asarray(bases, dtype=np.uint64)
     with np.errstate(over="ignore"):
         steps = (np.asarray(indices, dtype=np.uint64) + np.uint64(1)) * _PHI
     n_rows, n_cols = out.shape
-    cols = max(1, min(n_cols, _TILE_WORDS))
-    rows = max(1, min(n_rows, _TILE_WORDS // cols))
-    words = np.empty(rows * cols, dtype=np.uint64)
-    scratch = np.empty_like(words)
-    for r in range(0, n_rows, rows):
-        for c in range(0, n_cols, cols):
-            tile = out[r : r + rows, c : c + cols]
-            w = words[: tile.size].reshape(tile.shape)
-            np.add(bases[r : r + rows, None], steps[None, c : c + cols], out=w)
-            finish(_mix(w, scratch[: tile.size].reshape(tile.shape)), tile)
+    tiles = _row_tiles(n_rows, min(n_cols, _TILE_WORDS), *(buffers or [np.uint64] * 2))
+    for r, n, words, scratch in tiles:
+        for c in range(0, n_cols, _TILE_WORDS):
+            tile = out[r : r + n, c : c + _TILE_WORDS]
+            w = words[:, : tile.shape[1]]  # a whole row when a row is cut
+            np.add(bases[r : r + n, None], steps[None, c : c + _TILE_WORDS], out=w)
+            finish(_mix(w, scratch[:, : tile.shape[1]]), tile)
     return out
 
 
-def row_dot(mat, vec) -> np.ndarray:
+def row_dot(mat, vec, out=None, product=None) -> np.ndarray:
     """Per-row dot products whose rounding is independent of the row count.
 
     Matrix-vector BLAS kernels round differently for different batch shapes;
     reducing each row on its own keeps sample values bit-identical however a
-    run is partitioned.
+    run is partitioned.  ``out`` takes the sums, ``product`` the products.
     """
-    return (np.asarray(mat) * np.asarray(vec)[None, :]).sum(axis=1)
+    return np.multiply(mat, np.asarray(vec)[None, :], out=product).sum(axis=1, out=out)
 
 
 def signs(stream_id, indices) -> np.ndarray:
@@ -287,15 +292,15 @@ def signs(stream_id, indices) -> np.ndarray:
     return 1.0 - 2.0 * ((words >> (idx & np.uint64(63))) & np.uint64(1))
 
 
-def sign_matrix(stream_id, n_samples, n_coords, first_sample=0) -> np.ndarray:
-    """(n_samples, n_coords) array of fair +-1 coins, rows addressed like normal_matrix.
+def sign_matrix(stream_id, n_samples, n_coords, first_sample=0, out=None) -> np.ndarray:
+    """(n_samples, n_coords) fair +-1 coins, in ``out`` if given, rows addressed like normal_matrix.
 
     Row n is ``signs(substream(stream_id, n), arange(n_coords))``: it draws
     only the ceil(n_coords / 64) words that hold its coins.
     """
-    n_words = -(-n_coords // 64)
-    words = _fill_rows(stream_id, first_sample, n_samples, np.arange(n_words), _word, np.uint64)
-    return _coins(words, n_coords)
+    idx = np.arange(-(-n_coords // 64))
+    words = _fill_rows(stream_id, first_sample, n_samples, idx, _word, dtype=np.uint64)
+    return _coins(words, n_coords, out)
 
 
 def _byte_tables(weights) -> np.ndarray:
@@ -321,9 +326,7 @@ def sign_sums(stream_id, weights):
     The coins are ``sign_matrix``'s, but no +-1 matrix is formed.  Each coin
     byte b of a row's words (``<u8`` byte view) looks up its 8 coins' signed
     weight sum T[b, byte] in ``_byte_tables``, and a row's sum is
-    T[0, byte_0] + T[1, byte_1] + ..., added in order of b.  The words are
-    drawn in tiles of about ``_TILE_WORDS`` words and every sum runs row by
-    row, so the result depends on neither the block nor the tile size.  For
+    T[0, byte_0] + T[1, byte_1] + ..., added in order of b, row by row.  For
     powers of 2 that span at most 53 binary places (lam = 1/2, K = 47) every
     partial sum is exact, so the sums equal ``row_dot(sign_matrix(...),
     weights)`` bit for bit; other weights may differ from it in the last bits.
@@ -331,13 +334,11 @@ def sign_sums(stream_id, weights):
     table = _byte_tables(weights)
     n_bytes = len(table)
     word_idx = np.arange(-(-n_bytes // 8))
-    step = max(1, _TILE_WORDS // len(word_idx))
 
     def block(row, m):
         out = np.empty(m)
-        for r in range(0, m, step):
-            n = min(step, m - r)
-            words = _fill_rows(stream_id, row + r, n, word_idx, _word, np.uint64)
+        for r, n, words, *buffers in _row_tiles(m, len(word_idx), *[np.uint64] * 3):
+            _fill_rows(stream_id, row + r, n, word_idx, _word, words, buffers)
             octets = words.astype("<u8", copy=False).view(np.uint8)  # byte order fixed
             acc = out[r : r + n]
             np.take(table[0], octets[:, 0], out=acc)
@@ -443,9 +444,8 @@ def _walk(n, block):
 def emit_rows(out, first, block):
     """Fill ``out`` with samples ``first .. first + len(out) - 1``, one grid block at a time.
 
-    ``block(row, m)`` returns the values of the m sample rows starting at
-    ``row``; they must be computed row by row (``row_dot``), so the result
-    does not depend on the block size.
+    ``block(row, m)`` returns the values of sample rows ``row .. row + m - 1``,
+    computed row by row (``row_dot``).
     """
     for (start, m), vals in _walk(len(out), lambda row, m: block(first + row, m)):
         out[start : start + m] = vals
@@ -455,20 +455,21 @@ def emit_rows(out, first, block):
 def linear_forms(stream_id, coeffs):
     """``block(row, m)``: the (m, k) forms W = xi C^T of sample rows ``row .. row + m - 1``.
 
-    ``coeffs`` is a (k, J) array C, real or complex.  The nonzero columns are
-    drawn in tiles of about ``_TILE_WORDS`` words and each form is reduced
+    ``coeffs`` is a (k, J) array C, real or complex.  Each form is reduced
     with ``row_dot``, so W depends on neither the block nor the tile size.
     """
     C = np.atleast_2d(coeffs)
     idx = np.flatnonzero(np.any(C != 0, axis=0))
     C = C[:, idx]
-
-    step = max(1, _TILE_WORDS // max(len(idx), 1))
+    dtype = np.result_type(C.dtype, np.float64)
 
     def block(row, m):
-        tiles = (normal_matrix_at(stream_id, min(step, row + m - r), idx, r)
-                 for r in range(row, row + m, step))
-        return np.concatenate([np.column_stack([row_dot(xi, c) for c in C]) for xi in tiles])
+        out = np.empty((m, len(C)), dtype)
+        for r, n, xi, product, *buffers in _row_tiles(m, len(idx), float, dtype, *[np.uint64] * 2):
+            xi = normal_matrix_at(stream_id, n, idx, row + r, out=xi, buffers=buffers)
+            for i, c in enumerate(C):
+                row_dot(xi, c, out[r : r + n, i], product)
+        return out
 
     return block
 

@@ -179,6 +179,7 @@ def test_cuntz_check_huge_depth_is_a_usage_error_at_once(capsys):
     (["julia-kernel", "--factors", str(2**64)], "--factors"),
     (["ifs-moments", "--ifs", "cantor", "--degree", "-1"], "--degree"),
     (["boundary-embed", "--kernel", "gauss"], "--kernel"),
+    (["julia-kernel", "--points", ";".join(["0.1"] * 513)], "--points"),
 ])
 def test_sizes_past_their_bounds_are_usage_errors_at_once(capsys, argv, flag):
     # each of these overflowed (exit 1), failed inside numpy (exit 3) or ran
@@ -312,9 +313,9 @@ def test_ito_on_a_legendre_basis_draws_only_the_polynomial_degrees(
     drawn = []
     normal_matrix_at = streams.normal_matrix_at
 
-    def spy(stream_id, n, indices, first=0):
-        drawn.append(list(indices))
-        return normal_matrix_at(stream_id, n, indices, first)
+    def spy(*args, **kwargs):
+        drawn.append(list(args[2]))
+        return normal_matrix_at(*args, **kwargs)
 
     monkeypatch.setattr(streams, "normal_matrix_at", spy)
     argv = ["ito-isometry", "--measure", measure, "--poly", poly, "--N", "500", "--J", "64",
@@ -355,7 +356,7 @@ def test_artifacts_identical_for_every_worker_count(tmp_path, argv):
 
 
 def test_a_block_error_under_workers_exits_3_with_a_record(monkeypatch, capsys):
-    def failing(mat, vec):
+    def failing(*args, **kwargs):
         raise ValueError("row reduction failed")
 
     monkeypatch.setattr(streams, "row_dot", failing)

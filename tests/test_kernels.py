@@ -215,6 +215,22 @@ def test_member_gram_positive_semidefinite():
     assert eig.min() >= -1e-9 * np.trace(G).real
 
 
+@pytest.mark.parametrize("n_factors", [1, 5, 24, 300])
+def test_julia_gram_entries_are_each_pairs_own_product(n_factors):
+    # one orbit per member, but every entry keeps the bits of a lone pair's product
+    k = JuliaProductKernel(n_factors=n_factors)
+    zs = [0.0, 0.1, -0.15, 0.1j, 0.3615293582476763 + 0.09859444327724132j, -0.2 - 0.3j]
+    G = k.gram(zs)
+    for i, z in enumerate(zs):
+        for j, w in enumerate(zs):
+            pair = complex(np.prod(1.0 + julia_orbit(z, n_factors) * np.conj(julia_orbit(w, n_factors))))
+            assert G[i, j] == pair == k.evaluate(z, w)
+    assert np.array_equal(k.gram(zs[:2], zs[3:]), G[:2, 3:])
+    assert k.gram([]).shape == (0, 0)
+    with pytest.raises(ValueError, match="not a certified member"):
+        k.gram(zs + [2.0])
+
+
 def test_feature_sum_reproduces_truncated_product():
     k_full = JuliaProductKernel(n_factors=6)
     val = kernel_reconstruct(JuliaProductKernel(), 0.1, -0.15, 2**6)

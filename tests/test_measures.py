@@ -20,7 +20,7 @@ from noisefield import (
 from noisefield import quadrature
 from noisefield.ifs import bernoulli_system
 from noisefield.bernoulli import _INVERSION_ROWS
-from noisefield.measures import _INVERSION_CUTOFF
+from noisefield.measures import _INVERSION_CUTOFF, _distinct
 from test_coeff_goldens import SYSTEMS
 
 
@@ -542,3 +542,18 @@ def test_cantor_canonical_grid_lies_on_attractor():
     grid = mu.canonical_grid(128)
     # attractor points never fall in the open middle-third gap
     assert not np.any((grid > 1 / 3 + 1e-9) & (grid < 2 / 3 - 1e-9))
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0, 1.0, 1.0, -0.0, 0.5, 0.0],
+    [-0.0, 0.0, 0.0, -1.0, -1.0, 2.0],
+    [0.25, -0.0, 0.25, 0.0, np.nan, -0.0, np.nan, 3.0, -np.inf, 0.25],
+    [],
+    [7.0],
+])
+def test_distinct_is_np_unique_bit_for_bit(values):
+    rng = np.random.default_rng(len(values))
+    for x in (np.array(values, dtype=float), rng.permutation(np.array(values * 40, dtype=float))):
+        got, want = _distinct(x), np.unique(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))

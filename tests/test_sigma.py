@@ -380,3 +380,21 @@ def test_lift_samples_memory_is_bounded_by_the_row_grid():
     F = SigmaFunction(ident, LEB)
     assert space.total_J == 64
     assert _traced_peak_mb(lambda: space.lift_samples(F, 200_000, 5)) < 32.0
+
+
+def test_a_sigma_lift_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call (about 12 ms); the grids
+    # dedupe with measures._distinct instead
+    from test_streams import _run_fresh
+
+    _run_fresh("""
+        import sys
+        from noisefield import AtomicMeasure, LebesgueMeasure, cantor_measure, sum_measure
+        from noisefield.sigma import SigmaFunction, SigmaLift, add, equivalence_residual
+        parts = [LebesgueMeasure(0, 1), cantor_measure(), AtomicMeasure([(0.5, 0.25)])]
+        F = SigmaFunction(lambda x: x, sum_measure(parts[0], sum_measure(parts[1], parts[2])))
+        SigmaLift(parts).lift_samples(F, 100, 1)
+        G, H = (SigmaFunction(lambda x: x, mu) for mu in (parts[0], parts[2]))
+        equivalence_residual(G, H), add(G, H)
+        assert "numpy.ma" not in sys.modules
+    """)
