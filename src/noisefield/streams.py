@@ -258,8 +258,8 @@ def _fill(bases, indices, out, finish, buffers=None) -> np.ndarray:
 
     Walks ``out`` in ``_row_tiles``, a row wider than a tile in pieces of
     ``_TILE_WORDS`` columns: each tile's counters go into the word buffer, are
-    finalized in place with the scratch buffer (``buffers``, else allocated
-    here), and ``finish(words, tile)`` writes their values into ``out``.
+    finalized in place with the scratch one (the pair ``buffers``, else
+    allocated here), and ``finish(words, tile)`` writes their values into ``out``.
     """
     bases = np.asarray(bases, dtype=np.uint64)
     with np.errstate(over="ignore"):
@@ -269,7 +269,7 @@ def _fill(bases, indices, out, finish, buffers=None) -> np.ndarray:
     for r, n, words, scratch in tiles:
         for c in range(0, n_cols, _TILE_WORDS):
             tile = out[r : r + n, c : c + _TILE_WORDS]
-            w = words[:, : tile.shape[1]]  # a whole row when a row is cut
+            w = words[:, : tile.shape[1]]  # contiguous: one row when a row is cut
             np.add(bases[r : r + n, None], steps[None, c : c + _TILE_WORDS], out=w)
             finish(_mix(w, scratch[:, : tile.shape[1]]), tile)
     return out
