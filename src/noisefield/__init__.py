@@ -47,6 +47,7 @@ from .bases import (
     WalshBasis,
     default_truncation,
     make_basis,
+    partition_basis,
 )
 from .noise import (
     CoordinateFactorMap,

@@ -20,10 +20,11 @@ Kinds and their exactness:
 * ``atomic-indicators`` -- normalized indicators of atoms.
 
 Block sums: ``PiecewiseBasis`` takes the leading functions of sub-bases on
-disjoint supports block by block: a Legendre block per cell of an interval
-partition, or the blocks of ``regular_basis``, the one rule for the basis of
-a measure's density and atom parts (used by ``make_basis`` and
-``sigma.SigmaLift``): a Legendre block on each connected piece of the
+disjoint supports block by block.  Its Legendre blocks come from one rule,
+``_density_component`` (closed form on a constant density): one per cell of
+an interval partition (``partition_basis``), or the blocks of
+``regular_basis``, the basis of a measure's density and atom parts (used by
+``make_basis`` and ``sigma.SigmaLift``): one on each connected piece of the
 density's support, so a gap or a far atom leaves every block well
 conditioned, then an atom block.  Wrappers: transformed (an ONB of L2(mu)
 carried to L2(lambda) by multiplying with sqrt(d mu/d lambda)) and finite
@@ -39,10 +40,12 @@ bases.
 
 Grams: every kind but the sine family pairs its functions in one place,
 ``OrthonormalBasis.gram``, over the points and weights of its
-``_pairing_rule`` (Gauss rules times the density, atoms and their masses,
-one point per Walsh cell, or the blocks' rules concatenated); Legendre
-and transformed inner coefficients pair over the same rule.  The sine
-family pairs derivatives and keeps its own panel-quadrature gram.
+``_pairing_rule``: by default ``_density_rule``, a Gauss rule on the hull
+times the density, at 512 nodes (the weighted QR reads it at 256); else
+atoms and their masses, one point per Walsh cell, or the blocks' rules
+concatenated.  Legendre and transformed inner coefficients pair over the
+same rule.  The sine family pairs derivatives and keeps its own
+panel-quadrature gram.
 """
 
 from __future__ import annotations
@@ -62,12 +65,14 @@ from .measures import (
     SigmaFiniteMeasure,
     SimpleFunction,
     SumMeasure,
+    _reject_unbounded,
 )
 from .sets import BorelSet
 
 _GS_DEGREE_CAP = 64
 _MAX_COND = 1e8
 _INNER_REFINE = 3  # Walsh inner coefficients sample f at 2**_INNER_REFINE points per cell
+_QUAD_NODES = 256  # Gauss nodes of the weighted QR and density indicators; pairings take twice
 DEFAULT_J = {"legendre": 32, "walsh-cantor": 1024, "sine-brownian": 10_000}
 
 
@@ -104,22 +109,24 @@ class OrthonormalBasis:
             out += a_i * self.indicator_coefficients(s_i, J)
         return out
 
-    def _density_indicator(self, A: BorelSet, J, nodes) -> np.ndarray:
-        """<phi_j, 1_A> by a ``nodes``-point Gauss rule times the density on each piece of A."""
+    def _density_indicator(self, A: BorelSet, J) -> np.ndarray:
+        """<phi_j, 1_A> by a Gauss rule times the density on each piece of A."""
         out = np.zeros(J)
         dens = self.measure.density_fn()
         for lo, hi in A.clip(*self.measure.support_hull()).intervals:
-            xq, wq = quadrature.nodes_weights(lo, hi, nodes)
+            xq, wq = quadrature.nodes_weights(lo, hi, _QUAD_NODES)
             out += (self.evaluate_block(xq, J).T * np.asarray(dens(xq), dtype=float)) @ wq
         return out
+
+    def _density_rule(self, nodes):
+        """A ``nodes``-point Gauss rule on the support hull, its weights times the density."""
+        xq, wq = quadrature.nodes_weights(*self.measure.support_hull(), nodes)
+        return xq, wq * np.asarray(self.measure.density_fn()(xq), dtype=float)
 
     def _pair(self, f, J) -> np.ndarray:
         """<phi_j, f> for j < J, summed over the pairing rule that ``gram`` uses."""
         x, w = self._pairing_rule(J)
-        fv = np.asarray(f(x), dtype=float)
-        if not np.all(np.isfinite(fv)):
-            raise ValueError("integrand is unbounded on the support")
-        return (self.evaluate_block(x, J).T * fv) @ w
+        return (self.evaluate_block(x, J).T * _reject_unbounded(f, x)) @ w
 
     def gram(self, n) -> np.ndarray:
         """<phi_j, phi_k> for j, k < n, summed over the basis's pairing rule."""
@@ -129,8 +136,8 @@ class OrthonormalBasis:
         return (B * w[:, None]).T @ B
 
     def _pairing_rule(self, n):
-        """(points, weights) on which the first n functions pair exactly or by quadrature."""
-        raise NotImplementedError
+        """(points, weights) on which the first n functions pair: by default the density rule."""
+        return self._density_rule(2 * _QUAD_NODES)
 
     def to_descriptor(self) -> dict:
         return {"kind": self.kind}
@@ -145,7 +152,7 @@ class OrthonormalBasis:
 class LegendreBasis(OrthonormalBasis):
     kind = "legendre"
 
-    def __init__(self, measure, quad_nodes: int = 256):
+    def __init__(self, measure):
         super().__init__(measure)
         if measure.atoms() or measure.singular_parts():
             raise ValueError("legendre basis needs a purely absolutely continuous measure")
@@ -159,7 +166,6 @@ class LegendreBasis(OrthonormalBasis):
             self._const_weight = float(measure.poly[0])
         elif isinstance(measure, IFSInvariantMeasure) and measure.density_fn() is not None:
             self._const_weight = 1.0 / (self.b - self.a)
-        self._quad_nodes = quad_nodes
         self._coeffs = None  # row j = Legendre coefficients of phi_j, built at the cap
 
     @property
@@ -199,8 +205,7 @@ class LegendreBasis(OrthonormalBasis):
         # coefficient, the basis Gram-Schmidt on P_0, P_1, ... would give.
         if self._coeffs is not None:
             return
-        xq, wq = quadrature.nodes_weights(self.a, self.b, self._quad_nodes)
-        wq = wq * np.asarray(self.measure.density_fn()(xq), dtype=float)
+        xq, wq = self._density_rule(_QUAD_NODES)
         V = L.legvander(self._u(xq), _GS_DEGREE_CAP - 1)
         R = np.linalg.qr(np.sqrt(wq)[:, None] * V, mode="r")
         # past a 2-norm cond(R) of ~1e8 the coefficients of R^-1 are too large
@@ -224,17 +229,13 @@ class LegendreBasis(OrthonormalBasis):
         self._check_J(J)
         if self._const_weight is not None:
             return self._const_indicator(A, J)
-        return self._density_indicator(A, J, self._quad_nodes)
+        return self._density_indicator(A, J)
 
     def inner_coefficients(self, f, J):
         self._check_J(J)
         if isinstance(f, SimpleFunction):
             return self._simple_coefficients(f, J)
         return self._pair(f, J)
-
-    def _pairing_rule(self, n):
-        xq, wq = quadrature.nodes_weights(self.a, self.b, 2 * self._quad_nodes)
-        return xq, wq * np.asarray(self.measure.density_fn()(xq), dtype=float)
 
     def to_descriptor(self):
         return {"kind": self.kind, "measure": self.measure.to_descriptor()}
@@ -297,9 +298,7 @@ class WalshBasis(OrthonormalBasis):
             return self._simple_coefficients(f, J)
         deep = self.depth + _INNER_REFINE
         lo, hi = self.ifs.hull
-        vals = np.asarray(f(self.ifs.cell_images(deep, 0.5 * (lo + hi))), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("integrand is unbounded on the support")
+        vals = _reject_unbounded(f, self.ifs.cell_images(deep, 0.5 * (lo + hi)))
         deep_masses = vals * (0.5**deep)
         cell_integrals = deep_masses.reshape(2**_INNER_REFINE, 2**self.depth).sum(axis=0)
         return _fwht(cell_integrals)[:J]
@@ -403,9 +402,8 @@ class AtomicBasis(OrthonormalBasis):
 
     def inner_coefficients(self, f, J):
         self._check_J(J)
-        return np.array(
-            [float(np.asarray(f(np.array([x]))).ravel()[0]) * math.sqrt(m) for x, m in self._atoms[:J]]
-        )
+        xs, ms = np.array(self._atoms[:J]).T
+        return _reject_unbounded(f, xs) * np.sqrt(ms)
 
     def _pairing_rule(self, n):
         return np.array([x for x, _ in self._atoms]), np.array([m for _, m in self._atoms])
@@ -418,43 +416,16 @@ class PiecewiseBasis(OrthonormalBasis):
     """Sub-bases on disjoint supports, their leading functions taken block by block.
 
     Block k is (sub-basis, support (lo, hi], count): its first ``count``
-    functions at the points of the support, 0 elsewhere.  The constructor puts
-    a Legendre block on each cell of an interval partition, which diagonalizes
-    multiplication by piecewise-constant functions; ``from_blocks`` takes any
-    blocks.  An atom block makes the basis ``composite``; the other blocks
-    take the value 0 at its atoms, so the blocks stay orthogonal in L2(mu).
+    functions at the points of the support, 0 elsewhere; the blocks come in
+    index order.  ``partition_basis`` and ``regular_basis`` build them.  An
+    atom block makes the basis ``composite``; the other blocks take the value
+    0 at its atoms, so the blocks stay orthogonal in L2(mu).
     """
 
-    def __init__(self, measure, edges, per_piece: int = 8):
-        edges = [float(e) for e in edges]
-        lo, hi = measure.support_hull()
-        if abs(edges[0] - lo) > 1e-12 or abs(edges[-1] - hi) > 1e-12:
-            raise ValueError("partition must span the support hull")
-        if measure.atoms() or measure.singular_parts():
-            raise ValueError("piecewise basis needs an absolutely continuous measure")
-        dens = measure.density_fn()
-        blocks = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            if isinstance(measure, LebesgueMeasure):
-                piece_measure = LebesgueMeasure(a, b)
-            else:
-                piece_measure = DensityMeasure(a, b, lambda x, d=dens: np.asarray(d(x), dtype=float))
-            blocks.append((LegendreBasis(piece_measure, quad_nodes=128), (a, b), per_piece))
-        self._set_blocks(measure, blocks)
-        self.per_piece = per_piece
-
-    @classmethod
-    def from_blocks(cls, measure, blocks) -> "PiecewiseBasis":
-        """The basis of ``(sub-basis, (lo, hi), count)`` blocks, in index order."""
-        basis = cls.__new__(cls)
-        basis._set_blocks(measure, blocks)
-        return basis
-
-    def _set_blocks(self, measure, blocks):
+    def __init__(self, measure, blocks):
         super().__init__(measure)
         self.blocks = list(blocks)
-        self.pieces = [basis for basis, _, _ in self.blocks]
-        self._atom_block = next((b for b in self.pieces if isinstance(b, AtomicBasis)), None)
+        self._atom_block = next((b for b, _, _ in self.blocks if isinstance(b, AtomicBasis)), None)
         self.kind = "piecewise-legendre" if self._atom_block is None else "composite"
 
     @property
@@ -534,15 +505,10 @@ class TransformedBasis(OrthonormalBasis):
         ]
 
     def indicator_coefficients(self, A, J):
-        return self._density_indicator(A, J, 256)
+        return self._density_indicator(A, J)
 
     def inner_coefficients(self, f, J):
         return self._pair(f, J)
-
-    def _pairing_rule(self, n):
-        lo, hi = self.measure.support_hull()
-        xq, wq = quadrature.nodes_weights(lo, hi, 512)
-        return xq, wq * np.asarray(self.measure.density_fn()(xq), dtype=float)
 
 
 class MixedBasis(OrthonormalBasis):
@@ -640,7 +606,21 @@ def regular_basis(measure: SigmaFiniteMeasure, J: int | None = None) -> Orthonor
         blocks[0] = (blocks[0][0], (-math.inf, math.inf), n_density)
     if atoms:
         blocks.append((AtomicBasis(AtomicMeasure(atoms)), (-math.inf, math.inf), len(atoms)))
-    return PiecewiseBasis.from_blocks(measure, blocks)
+    return PiecewiseBasis(measure, blocks)
+
+
+def partition_basis(measure, edges, per_piece: int = 8) -> PiecewiseBasis:
+    """A Legendre block of ``per_piece`` functions per cell: cell constants multiply diagonally."""
+    edges = [float(e) for e in edges]
+    lo, hi = measure.support_hull()
+    if abs(edges[0] - lo) > 1e-12 or abs(edges[-1] - hi) > 1e-12:
+        raise ValueError("partition must span the support hull")
+    if measure.atoms() or measure.singular_parts():
+        raise ValueError("piecewise basis needs an absolutely continuous measure")
+    dens = measure.density_fn()
+    blocks = [(LegendreBasis(_density_component(dens, a, b)), (a, b), per_piece)
+              for a, b in zip(edges[:-1], edges[1:])]
+    return PiecewiseBasis(measure, blocks)
 
 
 def _density_pieces(measure):

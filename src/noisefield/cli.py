@@ -340,7 +340,7 @@ def cmd_bernoulli_density(args):
     centers, hist, inv = bc_mod.density_estimate(bc, args.N, args.h, args.T)
     params = {"lambda": args.lam, "h": args.h, "T": args.T}
     desc = _descriptor(args, **params, stream_version=streams.COIN_STREAM_VERSION)
-    _emit(args, desc, ["x", "histogram", "inversion"], list(zip(centers, hist, inv)))
+    _emit(args, desc, ["x", "histogram", "inversion"], columns=(centers, hist, inv))
 
 
 def cmd_bernoulli_scaling(args):

@@ -13,7 +13,9 @@ atom-matching rule (``_ATOM_TOL``), ``SumMeasure`` merges atoms and singular
 bases, and ``_radon_nikodym`` is the one d(mu)/d(lam), a vectorized callable
 that ``radon_nikodym_on_grid`` and ``sigma`` both read.  Its atom-and-density
 part, ``_regular_derivative``, is readable alone, without the singular-parts
-check: ``sigma.SigmaLift`` expands through it.
+check: ``sigma.SigmaLift`` expands through it.  Every integral and inner
+coefficient reads its integrand once, on an array, through
+``_reject_unbounded``, which rejects values that are not finite.
 
 Exactness: interval masses are closed-form for Lebesgue, polynomial
 densities, atomic measures, and IFS invariant measures (branch-descent CDF);
@@ -91,7 +93,7 @@ class SigmaFiniteMeasure:
     def measure_of(self, A: BorelSet) -> float:
         raise NotImplementedError
 
-    def integrate(self, f, A: BorelSet | None = None, nodes: int = 64):
+    def integrate(self, f, A: BorelSet | None = None):
         raise NotImplementedError
 
     # -- decomposition against Lebesgue ------------------------------------
@@ -155,10 +157,11 @@ def _distinct(values) -> np.ndarray:
     return x[keep]
 
 
-def _reject_unbounded(values, what="integrand"):
-    values = np.asarray(values, dtype=float)
+def _reject_unbounded(f, x) -> np.ndarray:
+    """f at the points x, a float array of x's shape: the one read of an integrand, finite."""
+    values = np.broadcast_to(np.asarray(f(x), dtype=float), np.shape(x))
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} is unbounded on the integration set")
+        raise ValueError("integrand is unbounded on the integration set")
     return values
 
 
@@ -185,13 +188,13 @@ class LebesgueMeasure(SigmaFiniteMeasure):
         a, b = self.a, self.b
         return lambda x: ((np.asarray(x) > a) & (np.asarray(x) <= b)).astype(float)
 
-    def integrate(self, f, A=None, nodes=64):
+    def integrate(self, f, A=None):
         A = self._clipped(A) if A is not None else BorelSet.interval(self.a, self.b)
         if any(not (math.isfinite(lo) and math.isfinite(hi)) for lo, hi in A.intervals):
             raise ValueError("quadrature needs finite intervals")
         total, err = 0.0, 0.0
         for lo, hi in A.intervals:
-            v, e = quadrature.integrate(lambda x: _reject_unbounded(f(x)), lo, hi, nodes)
+            v, e = quadrature.integrate(lambda x: _reject_unbounded(f, x), lo, hi)
             total, err = total + v, err + e
         return total, err
 
@@ -241,15 +244,12 @@ class DensityMeasure(SigmaFiniteMeasure):
             )
         return self.integrate(lambda x: np.ones_like(np.asarray(x, dtype=float)), A)[0]
 
-    def integrate(self, f, A=None, nodes=64):
+    def integrate(self, f, A=None):
         A = self._clipped(A) if A is not None else BorelSet.interval(self.a, self.b)
         total, err = 0.0, 0.0
         for lo, hi in A.intervals:
             v, e = quadrature.integrate(
-                lambda x: _reject_unbounded(f(x)) * np.asarray(self._w(x), dtype=float),
-                lo,
-                hi,
-                nodes,
+                lambda x: _reject_unbounded(f, x) * np.asarray(self._w(x), dtype=float), lo, hi
             )
             total, err = total + v, err + e
         return total, err
@@ -298,11 +298,11 @@ class AtomicMeasure(SigmaFiniteMeasure):
     def measure_of(self, A: BorelSet) -> float:
         return sum(m for x, m in self._atoms if A.contains(x))
 
-    def integrate(self, f, A=None, nodes=64):
+    def integrate(self, f, A=None):
+        atoms = [(x, m) for x, m in self._atoms if A is None or A.contains(x)]
         total = 0.0
-        for x, m in self._atoms:
-            if A is None or A.contains(x):
-                total += float(np.asarray(f(np.array([x]))).ravel()[0]) * m
+        for v, (_, m) in zip(_reject_unbounded(f, np.array([x for x, _ in atoms])).tolist(), atoms):
+            total += v * m
         return total, 0.0
 
     def to_descriptor(self):
@@ -380,7 +380,7 @@ class IFSInvariantMeasure(SigmaFiniteMeasure):
             out[straddle] += ends[1] - ends[0]
         return out
 
-    def integrate(self, f, A=None, nodes=64, depth=None):
+    def integrate(self, f, A=None, depth=None):
         if not callable(f):
             return self._integrate_poly(f, A)
         k = self.ifs.n_branches
@@ -392,7 +392,7 @@ class IFSInvariantMeasure(SigmaFiniteMeasure):
 
     def _cell_sum(self, f, A, depth):
         lo, hi = self.ifs.hull
-        vals = _reject_unbounded(f(self.ifs.cell_images(depth, 0.5 * (lo + hi))))
+        vals = _reject_unbounded(f, self.ifs.cell_images(depth, 0.5 * (lo + hi)))
         if A is None:
             masses = self.ifs.cylinder_masses(depth)
         else:
@@ -505,9 +505,9 @@ class BernoulliMeasure(SigmaFiniteMeasure):
         ends = self._cdf_inversion(np.ravel(A.intervals))[0]
         return float(sum(ends[1::2] - ends[0::2]))
 
-    def integrate(self, f, A=None, nodes=64):
+    def integrate(self, f, A=None):
         if self._ifs_measure is not None:
-            return self._ifs_measure.integrate(f, A, nodes)
+            return self._ifs_measure.integrate(f, A)
         lo, hi = self.support_hull()
         A = A.clip(lo, hi) if A is not None else BorelSet.interval(lo, hi)
         total, err = 0.0, 0.0
@@ -525,7 +525,7 @@ class BernoulliMeasure(SigmaFiniteMeasure):
     def _riemann(f, grid, cdfs):
         masses = np.diff(cdfs)
         mids = 0.5 * (grid[:-1] + grid[1:])
-        vals = _reject_unbounded(f(mids))
+        vals = _reject_unbounded(f, mids)
         return float(vals @ masses)
 
     def to_descriptor(self):
@@ -554,9 +554,9 @@ class SumMeasure(SigmaFiniteMeasure):
     def measure_of(self, A: BorelSet) -> float:
         return self.mu1.measure_of(A) + self.mu2.measure_of(A)
 
-    def integrate(self, f, A=None, nodes=64):
-        v1, e1 = self.mu1.integrate(f, A, nodes)
-        v2, e2 = self.mu2.integrate(f, A, nodes)
+    def integrate(self, f, A=None):
+        v1, e1 = self.mu1.integrate(f, A)
+        v2, e2 = self.mu2.integrate(f, A)
         return v1 + v2, e1 + e2
 
     def density_fn(self):

@@ -33,12 +33,13 @@ import math
 import numpy as np
 
 from . import quadrature, streams
-from .bases import PiecewiseBasis, WalshBasis, regular_basis
+from .bases import WalshBasis, partition_basis, regular_basis
 from .measures import (
     SigmaFiniteMeasure,
     _distinct,
     _radon_nikodym,
     _regular_derivative,
+    _reject_unbounded,
     _same_singular,
     sum_measure,
 )
@@ -81,19 +82,18 @@ def inner_product(F1: SigmaFunction, F2: SigmaFunction) -> float:
         for a, b in zip(pts[:-1], pts[1:]):
             xq, wq = quadrature.nodes_weights(a, b, 256)
             vals = (
-                np.asarray(F1.f(xq), dtype=float)
-                * np.asarray(F2.f(xq), dtype=float)
+                _reject_unbounded(F1.f, xq)
+                * _reject_unbounded(F2.f, xq)
                 * np.sqrt(
                     np.asarray(w1(xq), dtype=float) * np.asarray(w2(xq), dtype=float)
                 )
             )
             total += float(vals @ wq)
-    for x, m1 in mu1.atoms():
-        m2 = mu2.atom_mass_at(x)
-        if m2 > 0:
-            f1 = float(np.asarray(F1.f(np.array([x]))).ravel()[0])
-            f2 = float(np.asarray(F2.f(np.array([x]))).ravel()[0])
-            total += f1 * f2 * math.sqrt(m1 * m2)
+    shared = [(x, m1, m2) for x, m1 in mu1.atoms() if (m2 := mu2.atom_mass_at(x)) > 0]
+    xs = np.array([x for x, _, _ in shared])
+    f1, f2 = (_reject_unbounded(F.f, xs).tolist() for F in (F1, F2))
+    for v1, v2, (_, m1, m2) in zip(f1, f2, shared):
+        total += v1 * v2 * math.sqrt(m1 * m2)
     for base1, c1 in mu1.singular_parts():
         for base2, c2 in mu2.singular_parts():
             if _same_singular(base1, base2):
@@ -203,8 +203,9 @@ class CorrelatedPair:
     """Two jointly Gaussian noise fields with prescribed correlation density.
 
     The correlation function f must be piecewise constant with |f| <= 1 on a
-    declared partition; the partition's piecewise basis diagonalizes
-    multiplication by f, so the second field's coordinates can be mixed
+    declared partition; ``bases.partition_basis`` (a Legendre block per cell,
+    by the one block rule of ``bases``) diagonalizes multiplication by f,
+    so the second field's coordinates can be mixed
     coordinate-by-coordinate:  xi'_j = rho_j xi_j + sqrt(1 - rho_j^2) eta_j.
     Marginally both fields have covariance mu(A intersect B); across the pair
     E[W1_A W2_B] = integral_{A cap B} f d mu.
@@ -214,7 +215,8 @@ class CorrelatedPair:
         vals = np.asarray(piece_values, dtype=float)
         if np.any(np.abs(vals) > 1.0 + 1e-12):
             raise ValueError("correlation function must satisfy |f| <= 1")
-        self.basis = PiecewiseBasis(mu, edges, per_piece=per_piece)
+        self.basis = partition_basis(mu, edges, per_piece)
+        self.values = vals
         self.rho = self.basis.multiplier_eigenvalues(vals)
         self.J = self.basis.size
         self.mu = mu
@@ -237,7 +239,7 @@ class CorrelatedPair:
 
     def cross_covariance_target(self, A: BorelSet) -> float:
         total = 0.0
-        for (_, (a, b), _), val in zip(self.basis.blocks, self.rho[:: self.basis.per_piece]):
+        for (_, (a, b), _), val in zip(self.basis.blocks, self.values):
             piece_A = A.clip(a, b)
             if not piece_A.is_empty:
                 total += val * self.mu.measure_of(piece_A)

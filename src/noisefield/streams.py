@@ -150,9 +150,8 @@ def _stream_base(stream_id) -> np.uint64:
 def bits(stream_id, indices) -> np.ndarray:
     """Raw 64-bit words for the given coordinate indices of a stream."""
     idx = np.asarray(indices, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state = _stream_base(stream_id) + (idx + np.uint64(1)) * _PHI
-    return _finalize(state)
+    out = np.empty((1, idx.size), np.uint64)
+    return _fill([_stream_base(stream_id)], idx.ravel(), out, _word).reshape(idx.shape)
 
 
 def normals(stream_id, count, offset=0) -> np.ndarray:

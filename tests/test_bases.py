@@ -12,12 +12,12 @@ from noisefield import (
     GaussianNoiseField,
     LebesgueMeasure,
     MixedBasis,
-    PiecewiseBasis,
     SineBasis,
     TransformedBasis,
     WalshBasis,
     cantor_measure,
     make_basis,
+    partition_basis,
     sum_measure,
 )
 
@@ -344,7 +344,7 @@ def test_transformed_basis_is_orthonormal_under_new_measure():
 
 def test_piecewise_basis_diagonalizes_multiplication():
     mu = LebesgueMeasure(0, 1)
-    basis = PiecewiseBasis(mu, [0.0, 0.5, 1.0], per_piece=6)
+    basis = partition_basis(mu, [0.0, 0.5, 1.0], per_piece=6)
     rho = basis.multiplier_eigenvalues([1.0, -1.0])
     assert np.array_equal(rho, np.repeat([1.0, -1.0], 6))
     # functions of the first block vanish on the second piece
@@ -356,20 +356,45 @@ def test_piecewise_basis_diagonalizes_multiplication():
     "measure,tol", [(LebesgueMeasure(0, 1), 0.0), (DensityMeasure(0, 1, _one_plus_two_x), 1e-15)]
 )
 def test_piecewise_coefficients_match_per_index_extraction(measure, tol):
-    edges = [0.0, 0.25, 0.5, 0.8, 1.0]
-    basis = PiecewiseBasis(measure, edges, per_piece=6)
+    edges, per_piece = [0.0, 0.25, 0.5, 0.8, 1.0], 6
+    basis = partition_basis(measure, edges, per_piece=per_piece)
     A = BorelSet.interval(0.1, 0.77)  # misses the last piece
     for J in (13, basis.size):
         indicator, inner = np.zeros(J), np.zeros(J)
         for j in range(J):
-            piece, sub = divmod(j, basis.per_piece)
+            piece, sub = divmod(j, per_piece)
+            sub_basis = basis.blocks[piece][0]
             piece_A = A.clip(edges[piece], edges[piece + 1])
             if not piece_A.is_empty:
-                indicator[j] = basis.pieces[piece].indicator_coefficients(piece_A, sub + 1)[sub]
-            inner[j] = basis.pieces[piece].inner_coefficients(np.cos, sub + 1)[sub]
+                indicator[j] = sub_basis.indicator_coefficients(piece_A, sub + 1)[sub]
+            inner[j] = sub_basis.inner_coefficients(np.cos, sub + 1)[sub]
         assert np.abs(basis.indicator_coefficients(A, J) - indicator).max() <= tol
         # a BLAS matrix-vector product may sum a row in an order that depends on the row count
         assert np.abs(basis.inner_coefficients(np.cos, J) - inner).max() <= 1e-15
+
+
+def test_partition_basis_on_a_constant_density_gets_closed_form_blocks():
+    mu = DensityMeasure(0, 1, [2.0])
+    basis = partition_basis(mu, [0.0, 0.25, 0.5, 1.0], per_piece=6)
+    # a closed-form Legendre block has no size cap; a QR block stops at its degree cap
+    assert all(sub.size is None for sub, _, _ in basis.blocks)
+    # a whole cell pairs with its block's constant function alone, exactly
+    A = BorelSet.interval(0.25, 1.0)
+    c = basis.indicator_coefficients(A, basis.size)
+    assert np.flatnonzero(c).tolist() == [6, 12]
+    assert c @ c == pytest.approx(mu.measure_of(A), abs=1e-15)
+    assert np.abs(basis.gram(basis.size) - np.eye(basis.size)).max() < 1e-12
+
+
+def test_partition_basis_validation():
+    with pytest.raises(ValueError, match="partition must span the support hull"):
+        partition_basis(LebesgueMeasure(0, 1), [0.0, 0.5])
+    with pytest.raises(ValueError, match="partition must span the support hull"):
+        partition_basis(DensityMeasure(0, 1, [1.0, 2.0]), [-0.5, 0.5, 1.0])
+    with_atom = sum_measure(LebesgueMeasure(0, 1), AtomicMeasure([(0.5, 1.0)]))
+    for mu in (with_atom, cantor_measure()):
+        with pytest.raises(ValueError, match="piecewise basis needs an absolutely continuous measure"):
+            partition_basis(mu, [0.0, 0.5, 1.0])
 
 
 def _basis_of_each_kind():
@@ -383,7 +408,7 @@ def _basis_of_each_kind():
         "sine-brownian": SineBasis(),
         "atomic-indicators": make_basis(atoms),
         "composite": make_basis(sum_measure(DensityMeasure(0, 1, [1.0, 0.5]), atoms), J=12),
-        "piecewise-legendre": PiecewiseBasis(
+        "piecewise-legendre": partition_basis(
             DensityMeasure(0, 1, _one_plus_two_x), [0.0, 0.3, 0.6, 1.0], per_piece=4
         ),
         "transformed": TransformedBasis(

@@ -31,7 +31,6 @@ from noisefield import (
     IFSInvariantMeasure,
     LebesgueMeasure,
     MixedBasis,
-    PiecewiseBasis,
     SimpleFunction,
     SineBasis,
     TransformedBasis,
@@ -40,6 +39,7 @@ from noisefield import (
     cantor_system,
     make_basis,
     make_ifs,
+    partition_basis,
     sample_xi,
     sum_measure,
 )
@@ -131,8 +131,8 @@ def _wrapper_outputs(moved) -> dict:
     }
     edges = [0.0, 0.25, 0.5, 0.8, 1.0]
     piecewise = {
-        "lebesgue": PiecewiseBasis(LebesgueMeasure(0, 1), edges, per_piece=6),
-        "density": PiecewiseBasis(
+        "lebesgue": partition_basis(LebesgueMeasure(0, 1), edges, per_piece=6),
+        "density": partition_basis(
             DensityMeasure(0, 1, lambda x: 1.0 + 2.0 * np.asarray(x, dtype=float)), edges, per_piece=6
         ),
     }

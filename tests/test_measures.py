@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from noisefield import (
+    AtomicBasis,
     AtomicMeasure,
     BernoulliMeasure,
     BorelSet,
     DensityMeasure,
     IFSInvariantMeasure,
     LebesgueMeasure,
+    SigmaFunction,
     cantor_measure,
+    inner_product,
     measure_from_descriptor,
     radon_nikodym_on_grid,
     sum_measure,
@@ -257,6 +260,27 @@ def test_unbounded_integrand_rejected():
         mu.integrate(lambda x: np.log(x - 0.5), BorelSet.interval(0, 1))
     with pytest.raises(ValueError, match="unbounded"):
         cantor_measure().integrate(lambda x: np.full_like(np.asarray(x, dtype=float), np.inf))
+
+
+def test_unbounded_integrand_rejected_at_an_atom():
+    # an atom reads its integrand through the same rule as a density does
+    def pole(x):
+        return 1.0 / (np.asarray(x, dtype=float) - 0.5)
+
+    atoms = AtomicMeasure([(0.25, 1.0), (0.5, 2.0)])
+    reads = (
+        lambda: atoms.integrate(pole),
+        lambda: sum_measure(LebesgueMeasure(0, 1), atoms).integrate(pole, BorelSet.interval(0.4, 0.6)),
+        lambda: AtomicBasis(atoms).inner_coefficients(pole, 2),
+        lambda: inner_product(SigmaFunction(pole, atoms), SigmaFunction(np.ones_like, atoms)),
+    )
+    with np.errstate(divide="ignore"):
+        for read in reads:
+            with pytest.raises(ValueError, match="unbounded"):
+                read()
+    # off the pole the atoms sum in their order, and a constant integrand may return a scalar
+    assert atoms.integrate(lambda x: np.asarray(x) ** 2) == (0.25**2 * 1.0 + 0.5**2 * 2.0, 0.0)
+    assert atoms.integrate(lambda x: 3.0) == (3.0 * 1.0 + 3.0 * 2.0, 0.0)
 
 
 def test_self_similarity_polynomials_exact():
