@@ -615,6 +615,8 @@ def partition_basis(measure, edges, per_piece: int = 8) -> PiecewiseBasis:
     lo, hi = measure.support_hull()
     if abs(edges[0] - lo) > 1e-12 or abs(edges[-1] - hi) > 1e-12:
         raise ValueError("partition must span the support hull")
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ValueError("partition edges must increase")
     if measure.atoms() or measure.singular_parts():
         raise ValueError("piecewise basis needs an absolutely continuous measure")
     dens = measure.density_fn()

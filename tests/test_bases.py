@@ -391,6 +391,9 @@ def test_partition_basis_validation():
         partition_basis(LebesgueMeasure(0, 1), [0.0, 0.5])
     with pytest.raises(ValueError, match="partition must span the support hull"):
         partition_basis(DensityMeasure(0, 1, [1.0, 2.0]), [-0.5, 0.5, 1.0])
+    for edges in ([0.0, 0.5, 0.5, 1.0], [0.0, 0.7, 0.3, 1.0]):
+        with pytest.raises(ValueError, match="partition edges must increase"):
+            partition_basis(LebesgueMeasure(0, 1), edges)
     with_atom = sum_measure(LebesgueMeasure(0, 1), AtomicMeasure([(0.5, 1.0)]))
     for mu in (with_atom, cantor_measure()):
         with pytest.raises(ValueError, match="piecewise basis needs an absolutely continuous measure"):
