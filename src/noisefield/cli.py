@@ -63,11 +63,22 @@ class UsageError(Exception):
 # -- descriptor parsing ---------------------------------------------------------
 
 
-def parse_measure(text: str):
-    if text.startswith("{"):
-        return measure_from_descriptor(json.loads(text))
-    head, _, rest = text.partition(":")
+@contextlib.contextmanager
+def _malformed(what: str, text: str):
+    """The one rule for outside input: a failure becomes a UsageError naming it (exit 2)."""
     try:
+        yield
+    except UsageError:
+        raise
+    except Exception as exc:
+        raise UsageError(f"malformed {what} {text!r}: {exc}") from exc
+
+
+def parse_measure(text: str):
+    head, _, rest = text.partition(":")
+    with _malformed("measure descriptor", text):
+        if text.startswith("{"):
+            return measure_from_descriptor(json.loads(text))
         if head == "lebesgue":
             a, b = (float(v) for v in rest.split(","))
             return LebesgueMeasure(a, b)
@@ -78,44 +89,33 @@ def parse_measure(text: str):
         if head == "atomic":
             atoms = [tuple(float(v) for v in part.split(",")) for part in rest.split(";")]
             return AtomicMeasure(atoms)
-        if head == "cantor":
-            return IFSInvariantMeasure(ifs_mod.cantor_system())
-        if head == "binary":
-            return IFSInvariantMeasure(ifs_mod.binary_system())
-        if head == "ifs":
+        if head in (*_NAMED_SYSTEMS, "ifs"):
             return IFSInvariantMeasure(parse_ifs(text))
         if head == "bernoulli":
             return BernoulliMeasure(float(rest))
-    except UsageError:
-        raise
-    except Exception as exc:
-        raise UsageError(f"malformed measure descriptor {text!r}: {exc}") from exc
     raise UsageError(f"unknown measure kind {head!r}")
 
 
+_NAMED_SYSTEMS = {"cantor": ifs_mod.cantor_system, "binary": ifs_mod.binary_system}
+
+
 def parse_ifs(text: str):
-    if text == "cantor":
-        return ifs_mod.cantor_system()
-    if text == "binary":
-        return ifs_mod.binary_system()
-    if text.startswith("{"):
-        return ifs_mod.ifs_from_descriptor(json.loads(text))
-    head, _, rest = text.partition(":")
-    if head != "ifs":
-        raise UsageError(f"unknown system descriptor {text!r}")
-    try:
+    with _malformed("system descriptor", text):
+        if text in _NAMED_SYSTEMS:
+            return _NAMED_SYSTEMS[text]()
+        if text.startswith("{"):
+            return ifs_mod.ifs_from_descriptor(json.loads(text))
+        head, _, rest = text.partition(":")
+        if head != "ifs":
+            raise UsageError(f"unknown system descriptor {text!r}")
         branch_text, _, weight_text = rest.partition(":")
         branches = [tuple(float(v) for v in p.split(",")) for p in branch_text.split(";")]
         weights = [float(v) for v in weight_text.split(",")]
         return ifs_mod.make_ifs(branches, weights)
-    except UsageError:
-        raise
-    except Exception as exc:
-        raise UsageError(f"malformed system descriptor {text!r}: {exc}") from exc
 
 
 def parse_set(text: str, measure=None) -> BorelSet:
-    try:
+    with _malformed("set descriptor", text):
         if text.startswith("cyl:"):
             word = tuple(int(d) for d in text[4:].split(","))
             if not isinstance(measure, IFSInvariantMeasure):
@@ -123,17 +123,11 @@ def parse_set(text: str, measure=None) -> BorelSet:
             return measure.ifs.cylinder_set(word)
         intervals = [tuple(float(v) for v in part.split(",")) for part in text.split(";")]
         return BorelSet.from_intervals(intervals)
-    except UsageError:
-        raise
-    except Exception as exc:
-        raise UsageError(f"malformed set descriptor {text!r}: {exc}") from exc
 
 
 def parse_poly(text: str):
-    try:
+    with _malformed("polynomial coefficients", text):
         coeffs = [float(c) for c in text.split(",")]
-    except Exception as exc:
-        raise UsageError(f"malformed polynomial coefficients {text!r}: {exc}") from exc
     if not all(map(math.isfinite, coeffs)):
         raise UsageError(f"polynomial coefficients {text!r} must be finite")
     return coeffs
@@ -228,7 +222,7 @@ def _descriptor(args, **extra) -> dict:
     return {k: v for k, v in d.items() if v is not None}
 
 
-def _check_density_grid(lam, h, T):
+def _check_density_grid(lam, h, T=None):
     """Bound the Bernoulli histogram bins and, with a cutoff T, the inversion's cosines.
 
     The histogram has 2 lambda / ((1 - lambda) h) bins, and the inversion
@@ -289,25 +283,23 @@ def cmd_ito_isometry(args):
     _emit(args, desc, ["variance", "stderr", "target"], [[mean.real, se, float(target)]])
 
 
-def cmd_sigma_inner(args):
+def _sigma_pair(args):
+    """(F1, F2, descriptor) of the sigma-function pair (--f1, --mu1), (--f2, --mu2)."""
     mu1, mu2 = parse_measure(args.mu1), parse_measure(args.mu2)
     F1 = sigma.SigmaFunction(_poly_fn(parse_poly(args.f1)), mu1)
     F2 = sigma.SigmaFunction(_poly_fn(parse_poly(args.f2)), mu2)
-    val = sigma.inner_product(F1, F2)
-    desc = _descriptor(
-        args, mu1=mu1.to_descriptor(), mu2=mu2.to_descriptor(), f1=args.f1, f2=args.f2
-    )
-    _emit(args, desc, ["inner_product"], [[val]])
+    return F1, F2, _descriptor(args, mu1=mu1.to_descriptor(), mu2=mu2.to_descriptor(),
+                               f1=args.f1, f2=args.f2)
+
+
+def cmd_sigma_inner(args):
+    F1, F2, desc = _sigma_pair(args)
+    _emit(args, desc, ["inner_product"], [[sigma.inner_product(F1, F2)]])
 
 
 def cmd_equivalence(args):
-    mu1, mu2 = parse_measure(args.mu1), parse_measure(args.mu2)
-    F1 = sigma.SigmaFunction(_poly_fn(parse_poly(args.f1)), mu1)
-    F2 = sigma.SigmaFunction(_poly_fn(parse_poly(args.f2)), mu2)
+    F1, F2, desc = _sigma_pair(args)
     res = sigma.equivalence_residual(F1, F2)
-    desc = _descriptor(
-        args, mu1=mu1.to_descriptor(), mu2=mu2.to_descriptor(), f1=args.f1, f2=args.f2
-    )
     _emit(args, desc, ["equivalent", "residual"], [[res <= 1e-9, res]])
 
 
@@ -336,6 +328,7 @@ def cmd_cuntz_check(args):
 
 
 def cmd_bernoulli_density(args):
+    _check_density_grid(args.lam, args.h, args.T)
     bc = bc_mod.BernoulliConvolution(args.lam, stream_id=args.seed)
     centers, hist, inv = bc_mod.density_estimate(bc, args.N, args.h, args.T)
     params = {"lambda": args.lam, "h": args.h, "T": args.T}
@@ -344,6 +337,7 @@ def cmd_bernoulli_density(args):
 
 
 def cmd_bernoulli_scaling(args):
+    _check_density_grid(args.lam, args.h)
     bc = bc_mod.BernoulliConvolution(args.lam, stream_id=args.seed)
     rows = []
     for w in args.weights:  # the calls share one draw and histogram
@@ -391,10 +385,8 @@ def cmd_julia_kernel(args):
     parts = args.points.split(";")
     if len(parts) > MAX_JULIA_POINTS:
         raise UsageError(f"--points takes at most {MAX_JULIA_POINTS} points, got {len(parts)}")
-    try:
+    with _malformed("--points", args.points):
         points = [complex(p) for p in parts]
-    except ValueError as exc:
-        raise UsageError(f"malformed --points {args.points!r}: {exc}") from exc
     if not all(map(cmath.isfinite, points)):
         raise UsageError(f"--points {args.points!r} must be finite")
     verdicts = [kernels.julia_membership(z) for z in points]
@@ -512,17 +504,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, N=100_000, J=True)
     p.set_defaults(func=cmd_ito_isometry)
 
-    p = sub.add_parser("sigma-inner", help="inner product of two sigma-functions")
-    for flag in ("--f1", "--mu1", "--f2", "--mu2"):
-        p.add_argument(flag, required=True)
-    common(p, seed=False)
-    p.set_defaults(func=cmd_sigma_inner)
-
-    p = sub.add_parser("equivalence", help="equivalence test for sigma-function pairs")
-    for flag in ("--f1", "--mu1", "--f2", "--mu2"):
-        p.add_argument(flag, required=True)
-    common(p, seed=False)
-    p.set_defaults(func=cmd_equivalence)
+    for name, help, func in (
+        ("sigma-inner", "inner product of two sigma-functions", cmd_sigma_inner),
+        ("equivalence", "equivalence test for sigma-function pairs", cmd_equivalence),
+    ):
+        p = sub.add_parser(name, help=help)
+        for flag in ("--f1", "--mu1", "--f2", "--mu2"):
+            p.add_argument(flag, required=True)
+        common(p, seed=False)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("ifs-moments", help="exact invariant-measure moments")
     p.add_argument("--ifs", required=True)
@@ -604,8 +594,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "h"):  # the one rule across flags: bins and cosines from --lambda
-            _check_density_grid(args.lam, args.h, getattr(args, "T", None))
         if (args.workers or 1) > 1 and "fork" not in multiprocessing.get_all_start_methods():
             raise UsageError("--workers above 1 needs the fork start method")
         with contextlib.nullcontext() if args.workers is None else streams.workers(args.workers):

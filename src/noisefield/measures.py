@@ -567,15 +567,14 @@ class SumMeasure(SigmaFiniteMeasure):
         return lambda x: sum(np.asarray(g(x), dtype=float) for g in fns)
 
     def atoms(self):
-        merged = {}
-        for m in self.components:
-            for x, w in m.atoms():
-                key = round(x / _ATOM_TOL)
-                if key in merged:
-                    merged[key] = (merged[key][0], merged[key][1] + w)
-                else:
-                    merged[key] = (x, w)
-        return tuple(sorted(merged.values()))
+        """The parts' atoms in order; one within ``_ATOM_TOL`` of the last kept joins it."""
+        merged = []
+        for x, w in sorted(a for m in self.components for a in m.atoms()):
+            if merged and x - merged[-1][0] <= _ATOM_TOL:
+                merged[-1] = (merged[-1][0], merged[-1][1] + w)
+            else:
+                merged.append((x, w))
+        return tuple(merged)
 
     def singular_parts(self):
         merged = []
