@@ -5,7 +5,9 @@ runs it under a fixed seed, and emits CSV or JSON with the full descriptor
 embedded, so identical invocations replay byte for byte.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure or a closed stdout
-(a machine-readable error record goes to stderr).
+(a machine-readable error record goes to stderr).  Every descriptor, text or
+inline JSON, reads under one rule, ``_malformed``: a malformed one exits 2
+naming it.  The named systems ``cantor`` and ``binary`` take no suffix.
 """
 
 from __future__ import annotations

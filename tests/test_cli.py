@@ -43,11 +43,14 @@ def test_measure_descriptor_strings():
     assert parse_measure("density:0,1:0,2").kind == "weighted-density"
     assert parse_measure("atomic:0,0.25;1,0.75").kind == "atomic"
     assert parse_measure("cantor").kind == "ifs-invariant"
+    assert parse_measure("binary").kind == "ifs-invariant"
     assert parse_measure("bernoulli:0.5").kind == "bernoulli-convolution"
     with pytest.raises(UsageError, match="unknown measure"):
         parse_measure("nonsense:1")
     with pytest.raises(UsageError, match="malformed"):
         parse_measure("lebesgue:zero,one")
+    with pytest.raises(UsageError, match="unknown system descriptor"):
+        parse_measure("cantor:zzz")  # a named system takes no suffix
 
 
 def test_set_descriptor_strings():
@@ -59,6 +62,50 @@ def test_set_descriptor_strings():
     assert cyl.word == (0,)
     with pytest.raises(UsageError, match="ifs-invariant"):
         parse_set("cyl:0", parse_measure("lebesgue:0,1"))
+
+
+# One base argv per descriptor flag; each case replaces that flag's value.
+DESCRIPTOR_FLAGS = {
+    "--measure": "covariance --measure lebesgue:0,1 --A 0,0.5 --B 0.25,1 --N 200 --J 8",
+    "--A": "covariance --measure lebesgue:0,1 --A 0,0.5 --B 0.25,1 --N 200 --J 8",
+    "--B": "covariance --measure lebesgue:0,1 --A 0,0.5 --B 0.25,1 --N 200 --J 8",
+    "--poly": "ito-isometry --measure lebesgue:0,1 --poly 1,1 --N 200 --J 8",
+    "--mu1": "sigma-inner --f1 1 --mu1 lebesgue:0,1 --f2 1 --mu2 lebesgue:0,1",
+    "--mu2": "equivalence --f1 1 --mu1 lebesgue:0,1 --f2 1 --mu2 lebesgue:0,1",
+    "--f1": "sigma-inner --f1 1 --mu1 lebesgue:0,1 --f2 1 --mu2 lebesgue:0,1",
+    "--f2": "equivalence --f1 1 --mu1 lebesgue:0,1 --f2 1 --mu2 lebesgue:0,1",
+    "--ifs": "cuntz-check --ifs cantor --depth 3",
+    "--sets": "set-kernel --measure lebesgue:0,1 --sets 0,0.5|0.25,1",
+    "--coeffs": "fourier-isometry --measure lebesgue:0,1 --sets 0,0.5 --coeffs 1 --N 200 --J 8",
+    "--points": "julia-kernel --points 0;0.1 --factors 8",
+}
+UNCLOSED = "ifs:0.5,0;0.5,0.5:0.3,0.3"  # weights summing to 0.6
+UNCLOSED_JSON = ('{"kind":"ifs-invariant","ifs":{"branches":[[0.5,0],[0.5,0.5]],'
+                 '"weights":[0.3,0.3]}}')
+MALFORMED = {
+    "measure": ["{}", "{bad", '{"kind":"lebesgue-interval"}', '{"kind":"sum-of-two","parts":[]}',
+                '{"kind":"atomic","atoms":[[0.5]]}', "cantor:zzz", "binary:1", "ifs:0.5,0",
+                UNCLOSED, UNCLOSED_JSON, "lebesgue:zero,one"],
+    "system": ["{}", "{bad", '{"branches":[[0.5,0]]}', '{"branches":[[0.5]],"weights":[1]}',
+               "cantor:zzz", "ifs:0.5,0;0.5", "ifs:x"],
+    "set": ["{}", "{bad", "0,zzz", "0", "cyl:x"],
+    "numbers": ["{}", "{bad", "1,x", ""],
+}
+KIND = {"--measure": "measure", "--mu1": "measure", "--mu2": "measure", "--ifs": "system",
+        "--A": "set", "--B": "set", "--sets": "set"}
+
+
+@pytest.mark.parametrize("flag, value", [
+    (flag, value) for flag in DESCRIPTOR_FLAGS for value in MALFORMED[KIND.get(flag, "numbers")]
+])
+def test_every_malformed_descriptor_exits_2_naming_it(capsys, flag, value):
+    # JSON or text, each descriptor reads under one rule
+    argv = DESCRIPTOR_FLAGS[flag].split()
+    argv[argv.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert repr(value) in capsys.readouterr().err
 
 
 def test_sample_floor_is_usage_error():

@@ -37,7 +37,7 @@ BASE = {
     "fbm-variance": "--hurst 0.5 --times 1",
 }
 VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "", str(2**64), "0.5,0.5", "1,nan", "x:y",
-          "cyl:", "cyl:9"]
+          "cyl:", "cyl:9", "{", "{}", '{"kind":"sum-of-two","parts":[]}']
 SKIP = {"--out"}  # the case reads its artifact from there
 
 

@@ -16,6 +16,7 @@ from noisefield import (
     SigmaFunction,
     cantor_measure,
     inner_product,
+    make_basis,
     measure_from_descriptor,
     radon_nikodym_on_grid,
     sum_measure,
@@ -376,6 +377,26 @@ def test_sum_measure_additive():
 def test_sum_with_atoms():
     mu = sum_measure(LebesgueMeasure(0, 1), AtomicMeasure([(0.5, 1.0)]))
     assert mu.measure_of(BorelSet.interval(0.4, 0.6)) == pytest.approx(1.2)
+
+
+@pytest.mark.parametrize("gap", [4e-13, 6e-13, 1e-12])
+def test_sum_merges_atoms_within_the_atom_tolerance(gap):
+    # the same tolerance as AtomicMeasure's duplicate check and atom_mass_at:
+    # at 6e-13 a rounded-key bucket kept both atoms, and the basis then failed
+    mu = sum_measure(AtomicMeasure([(0.5, 1.0)]), AtomicMeasure([(0.5 + gap, 1.0)]))
+    assert mu.atoms() == ((0.5, 2.0),)
+    assert mu.atom_mass_at(0.5 + gap) == 2.0
+    c = make_basis(mu).indicator_coefficients(BorelSet.interval(0.4, 0.6), 1)
+    assert c @ c == pytest.approx(2.0, rel=1e-15)
+
+
+def test_sum_joins_an_atom_to_the_last_kept_one():
+    step = 0.6e-12
+    mu = sum_measure(AtomicMeasure([(0.5, 1.0), (0.5 + 2 * step, 1.0)]),
+                     AtomicMeasure([(0.5 + step, 1.0)]))
+    assert mu.atoms() == ((0.5, 2.0), (0.5 + 2 * step, 1.0))
+    c = make_basis(mu).indicator_coefficients(BorelSet.interval(0.4, 0.6), 2)
+    assert c @ c == pytest.approx(3.0, rel=1e-15)
 
 
 def test_sum_with_zero_atomic_is_identity():
