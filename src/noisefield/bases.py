@@ -370,9 +370,6 @@ class SineBasis(OrthonormalBasis):
                 )
         return G
 
-    def to_descriptor(self):
-        return {"kind": self.kind}
-
 
 class AtomicBasis(OrthonormalBasis):
     kind = "atomic-indicators"
@@ -533,10 +530,8 @@ class MixedBasis(OrthonormalBasis):
     def _mix(self, vec):
         n = len(self.U)
         out = np.array(vec, dtype=float, copy=True)
-        if len(out) >= n:
-            out[:n] = self.U @ out[:n]
-            return out
-        return (self.U @ np.pad(out, (0, n - len(out))))[: len(vec)]
+        out[:n] = self.U @ out[:n]
+        return out
 
     def evaluate_block(self, xs, J):
         block = self.base.evaluate_block(xs, max(J, len(self.U)))

@@ -307,6 +307,8 @@ def cmd_equivalence(args):
 
 def cmd_ifs_moments(args):
     system = parse_ifs(args.ifs)
+    if not system.is_closed(tol=1e-9):
+        raise UsageError(f"--ifs {args.ifs!r} has weights summing to {system.weight_sum}, not 1")
     moments = ifs_mod.invariant_moments(system, args.degree)
     desc = _descriptor(args, ifs=system.to_descriptor(), degree=args.degree)
     rows = [[k, m, float(m)] for k, m in enumerate(moments)]
@@ -419,6 +421,8 @@ def cmd_fourier_isometry(args):
     mu = parse_measure(args.measure)
     sets = [parse_set(s, mu) for s in args.sets.split("|")]
     coeffs = parse_poly(args.coeffs)
+    if len(coeffs) != len(sets):
+        raise UsageError(f"--coeffs gives {len(coeffs)} coefficients for {len(sets)} --sets")
     rk, mc, se = kernels.fourier_map_isometry(mu, sets, coeffs, args.N, args.seed, J=args.J or 512)
     desc = _descriptor(
         args, measure=mu.to_descriptor(), sets=args.sets, coeffs=coeffs, J=args.J or 512

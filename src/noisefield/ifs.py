@@ -10,6 +10,9 @@ polynomial moments, a deterministic chaos-game sampler, and the isometries
 This module is the one owner of the cylinder code: word (b_1, ..., b_d) has
 code sum_k b_k n^(k-1), and ``cell_images``, ``cylinder_masses`` and
 ``digits`` all use that layout; ``cdf`` works elementwise over arrays.
+A set carries no word: ``cylinder_set`` is a bare interval, and
+``cylinder_word`` is the one map from an interval back to the word whose
+cylinder it is, bit for bit.
 
 It also owns the self-similar integrals.  By invariance, mu restricted to a
 cylinder C_w is p_w (tau_w)_* mu, and ``pushforward_system`` conjugates a
@@ -131,9 +134,39 @@ class IteratedFunctionSystem:
         b = self.apply_word(word, hi)
         return float(a), float(b)
 
+    def cylinder_word(self, a, b):
+        """The word whose ``cylinder_interval`` is (a, b) bit for bit, or None.
+
+        The midpoint of (a, b) descends through the branch images, lower
+        index first where two touch, so each length has one candidate word;
+        only lengths whose cylinder is within a factor of 2 as wide as b - a
+        are compared, each with one ``cylinder_interval`` call.
+        """
+        lo, hi = self.hull
+        images = [self.image(i) for i in range(self.n_branches)]
+        x, width, word = 0.5 * (a + b), hi - lo, ()
+        while 2 * width >= b - a > 0:
+            if width <= 2 * (b - a) and self.cylinder_interval(word) == (a, b):
+                return word
+            i = next((i for i, (l, h) in enumerate(images) if l <= x <= h), None)
+            if i is None:
+                return None
+            r = float(self.ratios[i])
+            x, width, word = (x - float(self.shifts[i])) / r, width * r, word + (i,)
+        return None
+
     def cylinder_set(self, word) -> BorelSet:
-        a, b = self.cylinder_interval(word)
-        return BorelSet(((a, b),), word=tuple(word))
+        """The bare interval of the cylinder of ``word``.
+
+        Rejected where that float interval names another word or none: on
+        the Cantor system, words of length >= 34 away from 0, whose interval
+        is a few ulps wide.
+        """
+        A = BorelSet((self.cylinder_interval(word),))
+        if self.cylinder_word(*A.intervals[0]) != tuple(word):
+            raise ValueError(f"cylinder word {tuple(word)} is too long: its float interval "
+                             f"{A.intervals[0]} does not name it")
+        return A
 
     # -- invariant measure -------------------------------------------------
 

@@ -68,7 +68,6 @@ class SzegoKernel(PositiveDefiniteKernel):
 
     kind = "szego"
     is_complex = True
-    default_J = 128
 
     def evaluate(self, z, w):
         if abs(z) >= 1.0 or abs(w) >= 1.0:
@@ -84,7 +83,6 @@ class BrownianKernel(PositiveDefiniteKernel):
     """C(s, t) = min(s, t) on [0, 1]; features phi_0(t) = t, phi_k = sqrt2 sin(k pi t)/(k pi)."""
 
     kind = "brownian"
-    is_complex = False
     default_J = 10_000
 
     def __init__(self):

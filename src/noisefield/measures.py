@@ -33,7 +33,10 @@ direct sum (1.5e-15 in the CDF).
 The cylinder code of IFS measures (cell images in digit-code order, cylinder
 masses and the branch-descent CDF, vectorized over arrays) lives in
 ``ifs.IteratedFunctionSystem``; here cells inside a set take their cylinder
-masses, and only cells straddling its endpoints difference the CDF.  Every
+masses, and only cells straddling its endpoints difference the CDF.  A set
+carries no word: an interval that ``ifs.cylinder_word`` names as a cylinder
+C_w takes its product mass in ``measure_of`` and, alone, the exact moment sum
+of a polynomial; every other interval differences the CDF at its ends.  Every
 singular base is an ``IFSInvariantMeasure`` (a Bernoulli law with lambda <
 1/2 returns its system's), so two bases are one when their systems are equal.
 """
@@ -343,17 +346,18 @@ class IFSInvariantMeasure(SigmaFiniteMeasure):
             )
         return None
 
-    def _word(self, A: BorelSet):
-        """A's cylinder word, once A's intervals are checked to be that cylinder."""
-        if A.word is not None and A.intervals != (self.ifs.cylinder_interval(A.word),):
-            raise ValueError(f"set intervals {A.intervals} are not the cylinder of word {A.word}")
-        return A.word
-
     def measure_of(self, A: BorelSet) -> float:
-        if self._word(A) is not None:
-            return float(self.ifs.cylinder_mass(A.word))
-        ends = self.ifs.cdf(np.ravel(self._clipped(A).intervals))
-        return float(sum(ends[1::2] - ends[0::2]))
+        """Sum over A's intervals in order: a cylinder's product mass, else a CDF difference.
+
+        The CDF takes every other interval's ends in one call, unclipped:
+        it is 0 up to the hull's left end and 1 from its right end on.
+        """
+        words = [self.ifs.cylinder_word(a, b) for a, b in A.intervals]
+        plain = [iv for iv, w in zip(A.intervals, words) if w is None]
+        ends = self.ifs.cdf(np.reshape(plain, (-1, 2)))
+        diffs = iter(ends[:, 1] - ends[:, 0])
+        terms = (next(diffs) if w is None else float(self.ifs.cylinder_mass(w)) for w in words)
+        return float(sum(terms))
 
     def canonical_grid(self, n: int = 2048) -> np.ndarray:
         # grid points must lie on the attractor: use cylinder left ends
@@ -403,13 +407,14 @@ class IFSInvariantMeasure(SigmaFiniteMeasure):
         coeffs = list(coeffs)
         if A is None:
             return _moment_sum(self.ifs, coeffs), 0.0
-        if self._word(A) is not None:
+        word = self.ifs.cylinder_word(*A.intervals[0]) if len(A.intervals) == 1 else None
+        if word is not None:
             # exact: mu on C_w is p_w (tau_w)_* mu, the invariant measure of the
             # system conjugated by tau_w, one digit at a time in word order
             system = self.ifs
-            for d in A.word:
+            for d in word:
                 system = pushforward_system(system, d)
-            return self.ifs.cylinder_mass(A.word) * _moment_sum(system, coeffs), 0.0
+            return self.ifs.cylinder_mass(word) * _moment_sum(system, coeffs), 0.0
         val, err = self.integrate(
             lambda x: P.polyval(np.asarray(x, dtype=float), np.asarray([float(c) for c in coeffs])),
             A,
@@ -499,10 +504,9 @@ class BernoulliMeasure(SigmaFiniteMeasure):
         return full, np.abs(full - (0.5 + part.imag / np.pi))
 
     def measure_of(self, A: BorelSet) -> float:
-        A = self._clipped(A)
         if self._ifs_measure is not None:
             return self._ifs_measure.measure_of(A)
-        ends = self._cdf_inversion(np.ravel(A.intervals))[0]
+        ends = self._cdf_inversion(np.ravel(self._clipped(A).intervals))[0]
         return float(sum(ends[1::2] - ends[0::2]))
 
     def integrate(self, f, A=None):

@@ -1,19 +1,19 @@
 """Borel sets as finite disjoint unions of half-open intervals (a, b].
 
-Sets produced by iterated-function-system cylinders additionally carry the
-digit word that generated them, which gives their exact invariant mass and
-exact polynomial integrals over them; coefficients need only the intervals.
+A set is its intervals and nothing else: an interval that is the cylinder
+of an iterated function system is recognised from its ends by
+``ifs.IteratedFunctionSystem.cylinder_word``, so two sets that compare equal
+get the same masses and integrals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class BorelSet:
     intervals: tuple = ()
-    word: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         ivs = tuple((float(a), float(b)) for a, b in self.intervals)
@@ -24,8 +24,6 @@ class BorelSet:
             if a1 < b0:
                 raise ValueError("intervals must be disjoint and sorted")
         object.__setattr__(self, "intervals", ivs)
-        if self.word is not None:
-            object.__setattr__(self, "word", tuple(int(d) for d in self.word))
 
     @classmethod
     def interval(cls, a, b) -> "BorelSet":

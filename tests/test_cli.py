@@ -59,7 +59,7 @@ def test_set_descriptor_strings():
     B = parse_set("0,0.2;0.4,0.6")
     assert len(B.intervals) == 2
     cyl = parse_set("cyl:0", parse_measure("cantor"))
-    assert cyl.word == (0,)
+    assert cyl.intervals == ((0.0, 1 / 3),)
     with pytest.raises(UsageError, match="ifs-invariant"):
         parse_set("cyl:0", parse_measure("lebesgue:0,1"))
 
@@ -122,6 +122,30 @@ def test_cylinder_digit_outside_the_branches_is_usage_error():
                      "--N", "1000", "--seed", "1"])
         assert r.returncode == 2, (word, r.stdout)
         assert "branch index" in r.stderr
+
+
+def test_cylinder_word_its_float_interval_does_not_name_is_usage_error():
+    # (1, 0) * 17 has a one-ulp interval below 3/4 that names another word
+    with pytest.raises(UsageError, match="does not name it"):
+        parse_set("cyl:" + ",".join("10" * 17), parse_measure("cantor"))
+
+
+def test_unclosed_system_in_ifs_moments_is_usage_error(capsys):
+    # cuntz-check reports how unclosed a system is; ifs-moments needs its invariant measure
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ifs-moments", "--ifs", UNCLOSED])
+    assert exit_info.value.code == 2
+    assert "--ifs" in capsys.readouterr().err
+    assert main(["cuntz-check", "--ifs", UNCLOSED, "--depth", "3"]) == 0
+
+
+def test_fewer_coefficients_than_sets_is_usage_error(capsys):
+    argv = ["fourier-isometry", "--measure", "lebesgue:0,2", "--sets", "0,1|1,2", "--coeffs", "1",
+            "--N", "200", "--J", "8"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--coeffs" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error():

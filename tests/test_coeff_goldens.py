@@ -1,9 +1,10 @@
 """Byte-level goldens for the IFS cylinder layer and the basis pairings.
 
 None of the CLI goldens reach ``ifs.cdf``, so this file pins the SHA-256 of
-the CDF, cell masses, set masses, canonical grids, cell-sum integrals, Walsh
-coefficients and evaluations, the Legendre, Walsh, atomic, transformed,
-composite, piecewise and mixed grams, the evaluation blocks of the atomic,
+the CDF, cell masses, set masses (bare cylinder intervals and a union of two
+among them), canonical grids, cell-sum integrals, Walsh coefficients and
+evaluations, the Legendre, Walsh, atomic, transformed, composite, piecewise
+and mixed grams, the evaluation blocks of the atomic,
 composite and piecewise bases, the indicator coefficients of the weighted
 Legendre, transformed and composite bases, the inner coefficients of the
 composite basis and of a simple function, and ``psi_map``.  A refactor keeps
@@ -113,7 +114,17 @@ def outputs() -> dict:
     out["walsh_psi_map"] = GaussianNoiseField(cantor, J=64).psi_map(sample_xi(7, 64))
     sine = GaussianNoiseField(LebesgueMeasure(0, 1), basis=SineBasis(), J=16)
     out["sine_psi_map"] = sine.psi_map(sample_xi(7, 16))
+    for name, ifs in SYSTEMS.items():
+        out[f"{name}/measure_of_bare_cylinders"] = _bare_cylinder_masses(ifs)
     return out
+
+
+def _bare_cylinder_masses(ifs) -> list:
+    """measure_of the bare depth-3 cylinder intervals, then of the first and last as one set."""
+    ends = [ifs.cylinder_interval(word) for word in itertools.product(range(ifs.n_branches), repeat=3)]
+    sets = [BorelSet((end,)) for end in ends] + [BorelSet.from_intervals([ends[0], ends[-1]])]
+    mu = IFSInvariantMeasure(ifs)
+    return [mu.measure_of(s) for s in sets]
 
 
 def _wrapper_outputs(moved) -> dict:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from noisefield import (
 )
 from noisefield import ifs as ifs_module
 from noisefield.noise import GaussianNoiseField
+from test_coeff_goldens import SYSTEMS
 
 
 def broken_pair():
@@ -66,6 +68,30 @@ def test_cylinder_words_reject_digits_outside_the_branches():
         with pytest.raises(ValueError, match="branch index"):
             ifs.cylinder_set(word)
     assert ifs.cylinder_interval((1, 0)) == (2 / 3, 2 / 3 + 1 / 9)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_cylinder_word_names_every_cylinder_interval_and_nothing_else(name):
+    ifs = SYSTEMS[name]
+    k = ifs.n_branches
+    for word in (w for n in range(6) for w in itertools.product(range(k), repeat=n)):
+        assert ifs.cylinder_word(*ifs.cylinder_interval(word)) == word
+    lo, hi = ifs.hull
+    a, b = ifs.cylinder_interval((0,))
+    for ends in [(lo - 1.0, hi), (a, a + 0.45 * (b - a)), (a, np.nextafter(b, np.inf)), (a, a)]:
+        assert ifs.cylinder_word(*ends) is None, ends
+
+
+def test_cylinder_set_rejects_a_word_its_float_interval_does_not_name():
+    # near 3/4 a depth-34 Cantor interval is one ulp wide, not a point, and
+    # names another word; near 0 the same depth stays exact
+    ifs = cantor_system()
+    word = (1, 0) * 17
+    a, b = ifs.cylinder_interval(word)
+    assert a < b and b - a == np.spacing(a)
+    with pytest.raises(ValueError, match="does not name it"):
+        ifs.cylinder_set(word)
+    assert ifs.cylinder_set((0,) * 40).intervals == (ifs.cylinder_interval((0,) * 40),)
 
 
 def test_inverse_is_left_inverse_of_branches():
