@@ -4,10 +4,10 @@ None of the CLI goldens reach ``ifs.cdf``, so this file pins the SHA-256 of
 the CDF, cell masses, set masses (bare cylinder intervals and a union of two
 among them), canonical grids, cell-sum integrals, Walsh coefficients and
 evaluations, the Legendre, Walsh, atomic, transformed, composite, piecewise
-and mixed grams, the evaluation blocks of the atomic,
-composite and piecewise bases, the indicator coefficients of the weighted
-Legendre, transformed and composite bases, the inner coefficients of the
-composite basis and of a simple function, and ``psi_map``.  A refactor keeps
+and mixed grams, the evaluation blocks of the atomic, composite and piecewise
+bases, the indicator coefficients of the weighted Legendre, transformed and
+composite bases, the inner coefficients of the composite basis and of a
+simple function, and ``psi_map``.  A refactor keeps
 every digest.  A deliberate change
 of values regenerates tests/data/coeff_goldens.sha256 with
 

@@ -83,8 +83,8 @@ def test_cylinder_word_names_every_cylinder_interval_and_nothing_else(name):
 
 
 def test_cylinder_set_rejects_a_word_its_float_interval_does_not_name():
-    # near 3/4 a depth-34 Cantor interval is one ulp wide, not a point, and
-    # names another word; near 0 the same depth stays exact
+    # below 3/4 this depth-34 Cantor interval is one ulp wide, not a point,
+    # and does not name its word; near 0 a depth-40 interval still does
     ifs = cantor_system()
     word = (1, 0) * 17
     a, b = ifs.cylinder_interval(word)
