@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -76,8 +77,9 @@ class IteratedFunctionSystem:
     def n_branches(self) -> int:
         return len(self.ratios)
 
-    @property
+    @cached_property
     def hull(self):
+        """(min, max) of the branch fixed points, exact where the branch is; once per system."""
         fixed = []
         for r, s in zip(self.ratios, self.shifts):
             re, se = _as_exact(r), _as_exact(s)

@@ -289,11 +289,19 @@ def exp_set_kernel(mu: SigmaFiniteMeasure, A: BorelSet, B: BorelSet) -> float:
 
 
 def exp_set_gram(mu: SigmaFiniteMeasure, sets) -> np.ndarray:
+    """[K(A_i, A_j)], entry for entry ``exp_set_kernel``'s, from one mass per set and meet.
+
+    A n B is B n A interval for interval, so G is filled from i <= j.
+    """
     sets = list(sets)
+    mass = [mu.measure_of(A) for A in sets]
+    if not all(map(math.isfinite, mass)):
+        raise ValueError("the exponential set kernel needs sets of finite mass")
     G = np.empty((len(sets), len(sets)))
     for i, A in enumerate(sets):
-        for j, B in enumerate(sets):
-            G[i, j] = exp_set_kernel(mu, A, B)
+        for j in range(i, len(sets)):
+            mab = mu.measure_of(A.intersect(sets[j]))
+            G[i, j] = G[j, i] = math.exp(mab - 0.5 * (mass[i] + mass[j]))
     return G
 
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from noisefield import cli as cli_module
 from noisefield import streams
 from noisefield.cli import UsageError, build_parser, main, parse_measure, parse_set
 
@@ -151,6 +152,63 @@ def test_fewer_coefficients_than_sets_is_usage_error(capsys):
 def test_unknown_subcommand_is_usage_error():
     r = run_cli(["not-a-thing"])
     assert r.returncode == 2
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+SUBCOMMANDS = list(_subparsers(build_parser()))
+
+
+def _action_fields(action):
+    convert = action.type
+    bound = (convert.lo, convert.hi, convert.bound) if hasattr(convert, "bound") else convert
+    return (tuple(action.option_strings), action.dest, action.default, action.required,
+            action.choices, action.help, action.nargs, bound)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_one_subcommand_parser_has_the_full_parsers_flags(command):
+    full, one = build_parser(), build_parser(command)
+    assert list(_subparsers(one)) == SUBCOMMANDS
+    assert one.format_help() == full.format_help()
+    fields = [[_action_fields(a) for a in _subparsers(p)[command]._actions] for p in (full, one)]
+    assert fields[0] == fields[1]
+    funcs = {_subparsers(p)[command].get_default("func") for p in (full, one)}
+    assert len(funcs) == 1
+    assert [name for name, p in _subparsers(one).items() if p._actions] == [command]
+
+
+def test_main_builds_one_subcommand(monkeypatch, tmp_path):
+    built, real = [], cli_module.build_parser
+
+    def spy(command=None):
+        built.append(real(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli_module, "build_parser", spy)
+    assert main(["ifs-moments", "--ifs", "cantor", "--degree", "2",
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    (parser,) = built
+    assert [name for name, p in _subparsers(parser).items() if p._actions] == ["ifs-moments"]
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-h"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert len(SUBCOMMANDS) == 16 and all(name in out for name in SUBCOMMANDS)
+
+
+def test_misspelled_subcommand_is_an_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["covarience", "--measure", "lebesgue:0,1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument command: invalid choice: 'covarience' (choose from " in err
+    assert all(f"'{name}'" in err for name in SUBCOMMANDS)
 
 
 # -- execution -----------------------------------------------------------------------

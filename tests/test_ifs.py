@@ -42,6 +42,21 @@ def test_cantor_system_geometry():
     assert not ifs.covers()
 
 
+def test_hull_is_computed_once_per_system(monkeypatch):
+    calls = []
+    as_exact = ifs_module._as_exact
+    monkeypatch.setattr(ifs_module, "_as_exact", lambda x: calls.append(x) or as_exact(x))
+    ifs = cantor_system()  # exact: the fixed points are Fractions
+    built = len(calls)
+    assert built == 2 * ifs.n_branches
+    hull = ifs.hull
+    assert ifs.hull is hull == (0.0, 1.0)
+    assert [ifs.image(i) for i in range(ifs.n_branches)] == [(0.0, 1 / 3), (2 / 3, 1.0)]
+    assert len(calls) == built  # the reads above took the stored hull
+    ifs.cdf(0.3), ifs.cylinder_word(*ifs.cylinder_interval((1, 0)))
+    assert ifs.hull is hull
+
+
 def test_binary_system_covers():
     ifs = binary_system()
     assert ifs.covers()

@@ -291,6 +291,26 @@ def test_exp_kernel_gram_on_cantor_sets():
     assert np.linalg.eigvalsh(G).min() >= -1e-9 * np.trace(G)
 
 
+@pytest.mark.parametrize("mu", [LebesgueMeasure(0, 1), cantor_measure()], ids=["lebesgue", "cantor"])
+def test_exp_set_gram_takes_each_mass_once_and_matches_the_kernel(mu, monkeypatch):
+    sets = [BorelSet.interval(0, 0.5), BorelSet.interval(0.2, 0.9),
+            BorelSet.from_intervals([(0.0, 0.1), (0.6, 1.0)])]
+    expected = [[exp_set_kernel(mu, A, B) for B in sets] for A in sets]
+    calls = []
+    measure_of = mu.measure_of
+    monkeypatch.setattr(mu, "measure_of", lambda A: calls.append(A) or measure_of(A))
+    G = exp_set_gram(mu, sets)
+    n = len(sets)
+    assert len(calls) == n + n * (n + 1) // 2
+    assert G.tolist() == expected  # bit for bit, both triangles
+
+
+def test_exp_set_gram_rejects_infinite_mass():
+    mu = LebesgueMeasure(-np.inf, np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        exp_set_gram(mu, [BorelSet.interval(0, 1), BorelSet.interval(0, np.inf)])
+
+
 # -- the exponential isometry -----------------------------------------------------------------
 
 
