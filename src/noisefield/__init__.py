@@ -38,6 +38,7 @@ from .ifs import (
 )
 from .bases import (
     AtomicBasis,
+    CoordinateFactorMap,
     LegendreBasis,
     MixedBasis,
     OrthonormalBasis,
@@ -50,7 +51,6 @@ from .bases import (
     partition_basis,
 )
 from .noise import (
-    CoordinateFactorMap,
     GaussianNoiseField,
     UniversalSamplePoint,
     characteristic_functional_mc,

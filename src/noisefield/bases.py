@@ -4,9 +4,12 @@ Kinds and their exactness:
 
 * ``legendre`` -- orthonormal polynomials against Lebesgue or a weighted
   density.  Constant weights use closed-form shifted Legendre polynomials
-  with exact indicator coefficients; general weights take one Householder
-  QR of the weighted Legendre Vandermonde matrix at Gauss nodes (degree cap
-  64), and the basis is held as Legendre coefficients for stable evaluation.
+  with exact indicator coefficients; general weights hold the coefficients
+  of the three-term recurrence, found by the discretized Stieltjes procedure
+  on the Gauss rule times the density (degree cap 64), and evaluate by
+  running it, so column j of a block is the same for every J.  A weight is
+  refused as too degenerate when the gram of its 64 functions on the
+  pairing rule is off the identity by more than ``_MAX_GRAM_ERROR``.
 * ``walsh-cantor`` -- Rademacher products over the digit coding of a
   two-branch equal-weight IFS attractor.  Indexing: the subset S of digit
   positions is the bit pattern of the index j, ordered by (max element,
@@ -41,7 +44,7 @@ bases.
 Grams: every kind but the sine family pairs its functions in one place,
 ``OrthonormalBasis.gram``, over the points and weights of its
 ``_pairing_rule``: by default ``_density_rule``, a Gauss rule on the hull
-times the density, at 512 nodes (the weighted QR reads it at 256); else
+times the density, at 512 nodes (the weighted recurrence reads it at 256); else
 atoms and their masses, one point per Walsh cell, or the blocks' rules
 concatenated.  Legendre and transformed inner coefficients pair over the
 same rule.  The sine family pairs derivatives and keeps its own
@@ -51,6 +54,7 @@ panel-quadrature gram.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import legendre as L
@@ -70,9 +74,9 @@ from .measures import (
 from .sets import BorelSet
 
 _GS_DEGREE_CAP = 64
-_MAX_COND = 1e8
+_MAX_GRAM_ERROR = 1.0  # refuse a weight whose max |gram(64) - I| on the pairing rule exceeds this
 _INNER_REFINE = 3  # Walsh inner coefficients sample f at 2**_INNER_REFINE points per cell
-_QUAD_NODES = 256  # Gauss nodes of the weighted QR and density indicators; pairings take twice
+_QUAD_NODES = 256  # Gauss nodes of the Stieltjes build and density indicators; pairings take twice
 DEFAULT_J = {"legendre": 32, "walsh-cantor": 1024, "sine-brownian": 10_000}
 
 
@@ -166,7 +170,6 @@ class LegendreBasis(OrthonormalBasis):
             self._const_weight = float(measure.poly[0])
         elif isinstance(measure, IFSInvariantMeasure) and measure.density_fn() is not None:
             self._const_weight = 1.0 / (self.b - self.a)
-        self._coeffs = None  # row j = Legendre coefficients of phi_j, built at the cap
 
     @property
     def size(self):
@@ -196,23 +199,37 @@ class LegendreBasis(OrthonormalBasis):
             )
         return out
 
-    # -- weighted QR ------------------------------------------------------------
+    # -- weighted recurrence -----------------------------------------------
 
-    def _ensure_coeffs(self):
-        # Householder QR of sqrt(w) V, V the Legendre Vandermonde matrix at the
-        # Gauss nodes: P_k = sum_{i<=k} R_ik phi_i, so phi = V R^-1.  Rows of R
-        # flipped to diag(R) > 0 give every phi_k a positive leading
-        # coefficient, the basis Gram-Schmidt on P_0, P_1, ... would give.
-        if self._coeffs is not None:
-            return
+    @cached_property
+    def _recurrence(self):
+        """(alpha, beta) of the weighted basis, by the discretized Stieltjes procedure.
+
+        Gautschi, Orthogonal Polynomials (2004), section 2.2, on the density
+        rule in u: beta_k = ||q_k||, p_k = q_k / beta_k, alpha_k = <u p_k, p_k>
+        and q_{k+1} = (u - alpha_k) p_k - beta_k p_{k-1}, from q_0 = 1.  Every
+        beta_k > 0 gives every p_k a positive leading coefficient, the basis
+        Gram-Schmidt on P_0, P_1, ... would give.  Positive betas are not
+        enough: a weight that all but vanishes on part of the hull leaves the
+        functions far from orthonormal between the nodes, so the gram on the
+        pairing rule must stay within ``_MAX_GRAM_ERROR`` of the identity.
+        """
         xq, wq = self._density_rule(_QUAD_NODES)
-        V = L.legvander(self._u(xq), _GS_DEGREE_CAP - 1)
-        R = np.linalg.qr(np.sqrt(wq)[:, None] * V, mode="r")
-        # past a 2-norm cond(R) of ~1e8 the coefficients of R^-1 are too large
-        # to evaluate accurately off the nodes
-        if not (np.all(np.isfinite(R)) and np.linalg.cond(R) <= _MAX_COND):
+        u = self._u(xq)
+        alpha, beta = np.zeros(_GS_DEGREE_CAP), np.zeros(_GS_DEGREE_CAP)
+        p_prev, q = 0.0, np.ones_like(u)
+        x, w = self._pairing_rule(_GS_DEGREE_CAP)
+        with np.errstate(all="ignore"):  # a zero beta makes nan, which the check refuses
+            for k in range(_GS_DEGREE_CAP):
+                beta[k] = np.sqrt(np.add.reduce(wq * q * q))
+                p = q / beta[k]
+                alpha[k] = np.add.reduce(wq * u * p * p)
+                p_prev, q = p, (u - alpha[k]) * p - beta[k] * p_prev
+            B = _three_term_block(self._u(x), _GS_DEGREE_CAP, alpha, beta)
+            error = np.abs((B * w[:, None]).T @ B - np.eye(_GS_DEGREE_CAP)).max()
+        if not error <= _MAX_GRAM_ERROR:
             raise ValueError("weight is too degenerate for this degree")
-        self._coeffs = np.linalg.inv(R * np.sign(np.diag(R))[:, None]).T
+        return alpha, beta
 
     # -- public surface -------------------------------------------------------
 
@@ -221,9 +238,7 @@ class LegendreBasis(OrthonormalBasis):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if self._const_weight is not None:
             return self._const_block(xs, J)
-        self._ensure_coeffs()
-        V = L.legvander(self._u(xs), _GS_DEGREE_CAP - 1)
-        return V @ self._coeffs[:J].T
+        return _three_term_block(self._u(xs), J, *self._recurrence)
 
     def indicator_coefficients(self, A, J):
         self._check_J(J)
@@ -239,6 +254,19 @@ class LegendreBasis(OrthonormalBasis):
 
     def to_descriptor(self):
         return {"kind": self.kind, "measure": self.measure.to_descriptor()}
+
+
+def _three_term_block(u, J, alpha, beta) -> np.ndarray:
+    """(len(u), J) values of p_0 .. p_{J-1}, one function at a time: column j does not depend on J.
+
+    Each function fills a contiguous row of a (J, len(u)) array, returned transposed.
+    """
+    out = np.empty((J, len(u)))
+    p_prev, q = 0.0, np.ones_like(u)
+    for k in range(J):
+        out[k] = q / beta[k]
+        p_prev, q = out[k], (u - alpha[k]) * out[k] - beta[k] * p_prev
+    return out.T
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
@@ -508,48 +536,61 @@ class TransformedBasis(OrthonormalBasis):
         return self._pair(f, J)
 
 
-class MixedBasis(OrthonormalBasis):
-    """Finite orthogonal mix of the first n functions of a base ONB."""
+class CoordinateFactorMap:
+    """Measure-preserving map of the coordinate space: an orthogonal mix of the
+    leading block, identity beyond it.  The pullback f -> f o Psi is positive,
+    unital, and expectation preserving."""
 
-    kind = "mixed"
-
-    def __init__(self, base: OrthonormalBasis, U: np.ndarray):
-        super().__init__(base.measure)
+    def __init__(self, U: np.ndarray):
         U = np.asarray(U, dtype=float)
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
             raise ValueError("mixing matrix must be square")
         if np.max(np.abs(U @ U.T - np.eye(len(U)))) > 1e-10:
             raise ValueError("mixing matrix must be orthogonal")
-        self.base = base
         self.U = U
+
+    def apply(self, coords: np.ndarray) -> np.ndarray:
+        """U applied to the leading block of the last axis, each row of a block on its own."""
+        coords = np.asarray(coords, dtype=float)
+        n = len(self.U)
+        if coords.shape[-1] < n:
+            raise ValueError("coordinate prefix shorter than the mixing block")
+        out = coords.copy()
+        out[..., :n] = coords[..., :n] @ self.U.T
+        return out
+
+    def pullback(self, f):
+        return lambda coords: f(self.apply(coords))
+
+
+class MixedBasis(OrthonormalBasis):
+    """Finite orthogonal mix of the first n functions of a base ONB: phi_j = sum_k U_jk base_k.
+
+    The mix reads the whole leading block, so the base is asked for at least n functions.
+    """
+
+    kind = "mixed"
+
+    def __init__(self, base: OrthonormalBasis, U: np.ndarray):
+        super().__init__(base.measure)
+        self.base = base
+        self.mix = CoordinateFactorMap(U)
 
     @property
     def size(self):
         return self.base.size
 
-    def _mix(self, vec):
-        n = len(self.U)
-        out = np.array(vec, dtype=float, copy=True)
-        out[:n] = self.U @ out[:n]
-        return out
-
     def evaluate_block(self, xs, J):
-        block = self.base.evaluate_block(xs, max(J, len(self.U)))
-        n = len(self.U)
-        out = block.copy()
-        out[:, :n] = block[:, :n] @ self.U.T
-        return out[:, :J]
+        return self.mix.apply(self.base.evaluate_block(xs, max(J, len(self.mix.U))))[:, :J]
 
     def indicator_coefficients(self, A, J):
-        base = self.base.indicator_coefficients(A, max(J, len(self.U)))
-        return self._mix(base)[:J]
+        return self.mix.apply(self.base.indicator_coefficients(A, max(J, len(self.mix.U))))[:J]
 
     def inner_coefficients(self, f, J):
-        base = self.base.inner_coefficients(f, max(J, len(self.U)))
-        return self._mix(base)[:J]
+        return self.mix.apply(self.base.inner_coefficients(f, max(J, len(self.mix.U))))[:J]
 
     def _pairing_rule(self, n):
-        return self.base._pairing_rule(max(n, len(self.U)))
+        return self.base._pairing_rule(max(n, len(self.mix.U)))
 
 
 def make_basis(measure: SigmaFiniteMeasure, J: int | None = None) -> OrthonormalBasis:

@@ -233,12 +233,9 @@ def _check_density_grid(lam, h, T=None):
 
     The histogram has 2 lambda / ((1 - lambda) h) bins, and the inversion
     forms a bins x 24 T cosine matrix (12 Gauss nodes on each of 2T panels).
-    A lambda outside (0, 1) is left to the library to reject.
     """
     if not 0.0 < h < math.inf:  # also rejects nan
         raise UsageError("--h must be positive and finite")
-    if not 0.0 < lam < 1.0:
-        return
     bins = 2.0 * lam / (1.0 - lam) / h
     if not 1.0 <= bins <= MAX_DENSITY_BINS:
         raise UsageError(f"--h must give between 1 and {MAX_DENSITY_BINS} bins "
@@ -451,23 +448,26 @@ def _float_list(text):
     return [float(v) for v in text.split(",")]
 
 
-def _bounded(kind, lo=-math.inf, hi=math.inf):
+def _bounded(kind, lo=-math.inf, hi=math.inf, exclusive=False):
     """An argparse ``type=`` that parses ``kind`` (``int``, ``float`` or ``_float_list``)
-    and admits only values in [lo, hi], each value of a list on its own; a nan fails
-    the comparison.  argparse turns the ``ArgumentTypeError`` into exit 2 naming the
-    flag.  ``lo`` and ``hi`` stay on the converter, and ``bound`` words them.
+    and admits only values in [lo, hi], or in (lo, hi) if ``exclusive``, each value of
+    a list on its own; a nan fails the comparison.  argparse turns the
+    ``ArgumentTypeError`` into exit 2 naming the flag.  ``lo``, ``hi`` and ``exclusive``
+    stay on the converter, and ``bound`` words them.
     """
-    span = (f"at most {hi}" if lo == -math.inf else f"at least {lo}" if hi == math.inf
-            else f"in [{lo}, {hi}]")
+    span = (f"in ({lo}, {hi})" if exclusive else f"at most {hi}" if lo == -math.inf
+            else f"at least {lo}" if hi == math.inf else f"in [{lo}, {hi}]")
     each = "each value " if kind is _float_list else ""
 
     def convert(text):
         value = kind(text)  # a ValueError: argparse says "invalid <kind> value"
-        if not all(lo <= v <= hi for v in (value if kind is _float_list else [value])):
+        values = value if kind is _float_list else [value]
+        if not all(lo < v < hi if exclusive else lo <= v <= hi for v in values):
             raise argparse.ArgumentTypeError(f"{each}must be {span}, not {text!r}")
         return value
 
-    convert.__name__, convert.lo, convert.hi, convert.bound = kind.__name__, lo, hi, each + span
+    convert.__name__, convert.lo, convert.hi = kind.__name__, lo, hi
+    convert.exclusive, convert.bound = exclusive, each + span
     return convert
 
 
@@ -491,8 +491,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p if built else None
 
-    def bounded(p, flag, help, kind, lo=-math.inf, hi=math.inf, **kw):
-        convert = _bounded(kind, lo, hi)
+    def bounded(p, flag, help, kind, lo=-math.inf, hi=math.inf, exclusive=False, **kw):
+        convert = _bounded(kind, lo, hi, exclusive)
         p.add_argument(flag, type=convert, help=f"{help} ({convert.bound})", **kw)
 
     def common(p, seed=True, N=None, J=False):
@@ -545,22 +545,26 @@ def build_parser(command=None) -> argparse.ArgumentParser:
                 default=8)
         common(p, seed=False)
 
+    def lambda_flag(p):
+        bounded(p, "--lambda", "contraction ratio of the Bernoulli convolution", float, 0, 1,
+                exclusive=True, dest="lam", required=True)
+
     h_help = f"bin width, > 0, giving 1 to {MAX_DENSITY_BINS} bins 2 lambda / ((1 - lambda) h)"
     if p := add("bernoulli-density", "histogram and inversion densities", cmd_bernoulli_density):
-        p.add_argument("--lambda", dest="lam", type=float, required=True)
+        lambda_flag(p)
         p.add_argument("--h", type=float, default=0.01, help=h_help)
         p.add_argument("--T", type=float, default=200.0, help="inversion cutoff, > 0, with bins x "
                        f"24 max(T, 32) inversion terms at most {MAX_INVERSION_COSINES}")
         common(p, N=1_000_000)
 
     if p := add("bernoulli-scaling", "scaling-law residuals", cmd_bernoulli_scaling):
-        p.add_argument("--lambda", dest="lam", type=float, required=True)
+        lambda_flag(p)
         p.add_argument("--h", type=float, default=0.01, help=h_help)
         bounded(p, "--weights", "weights of the scaling identity", _float_list, 0, 1, default=[0.5])
         common(p, N=1_000_000)
 
     if p := add("ac2-proxy", "square-integrability proxy curve", cmd_ac2_proxy):
-        p.add_argument("--lambda", dest="lam", type=float, required=True)
+        lambda_flag(p)
         bounded(p, "--T-values", "cutoffs", _float_list, hi=MAX_PROXY_CUTOFF, dest="T_values",
                 default=[50.0, 100.0, 200.0])
         common(p, seed=False)
@@ -593,7 +597,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         common(p, N=100_000, J=True)
 
     if p := add("fbm-variance", "spectral variance scaling table", cmd_fbm_variance):
-        p.add_argument("--hurst", type=_float_list, default=[0.25, 0.5, 0.75])
+        bounded(p, "--hurst", "Hurst indices H", _float_list, 0, 1, exclusive=True,
+                default=[0.25, 0.5, 0.75])
         bounded(p, "--times", "increment lengths t", _float_list, hi=MAX_FBM_TIME,
                 default=[1.0, 4.0])
         common(p, seed=False)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .bases import OrthonormalBasis, default_truncation, make_basis
+# CoordinateFactorMap, the orthogonal coordinate mix, lives with MixedBasis and is re-exported
+from .bases import CoordinateFactorMap, OrthonormalBasis, default_truncation, make_basis
 from .measures import SigmaFiniteMeasure
 from .sets import BorelSet
 
@@ -206,30 +207,6 @@ def ell2_escape_ratio(seed, n: int) -> float:
 
 def max_coordinate(seed, n: int) -> float:
     return max((float(np.abs(z).max()) for z in _coordinate_chunks(seed, n)))
-
-
-class CoordinateFactorMap:
-    """Measure-preserving map of the coordinate space: an orthogonal mix of the
-    leading block, identity beyond it.  The pullback f -> f o Psi is positive,
-    unital, and expectation preserving."""
-
-    def __init__(self, U: np.ndarray):
-        U = np.asarray(U, dtype=float)
-        if np.max(np.abs(U @ U.T - np.eye(len(U)))) > 1e-10:
-            raise ValueError("factor map needs an orthogonal matrix")
-        self.U = U
-
-    def apply(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        n = len(self.U)
-        if len(coords) < n:
-            raise ValueError("coordinate prefix shorter than the mixing block")
-        out = coords.copy()
-        out[:n] = self.U @ coords[:n]
-        return out
-
-    def pullback(self, f):
-        return lambda coords: f(self.apply(coords))
 
 
 # -- spectral variance of fractional increments --------------------------------

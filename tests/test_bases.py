@@ -8,6 +8,7 @@ from noisefield import (
     AtomicMeasure,
     BernoulliMeasure,
     BorelSet,
+    CoordinateFactorMap,
     DensityMeasure,
     GaussianNoiseField,
     LebesgueMeasure,
@@ -93,13 +94,38 @@ def test_weighted_legendre_rejects_degenerate_weight():
 
 @pytest.mark.parametrize(
     "density",
-    [lambda x: np.asarray(x) ** 20, lambda x: (np.asarray(x) < 0.5).astype(float)],
-    ids=["x^20", "step"],
+    [lambda x: (np.asarray(x) < 0.5).astype(float), lambda x: 1e-12 + (np.asarray(x) < 0.1)],
+    ids=["step", "step-plus-1e-12"],
 )
 def test_weighted_legendre_rejects_ill_conditioned_weight(density):
+    # the recurrence coefficients of 1e-12 + 1[x < 0.1] are all positive, yet
+    # between the nodes its functions are far from orthonormal (|G - I| ~ 18)
     basis = make_basis(DensityMeasure(0, 1, density))
     with pytest.raises(ValueError, match="degenerate"):
         basis.evaluate_block(np.array([0.3]), 8)
+
+
+@pytest.mark.parametrize(
+    "density",
+    [lambda x: np.asarray(x) ** 20, lambda x: np.exp(-200 * np.asarray(x))],
+    ids=["x^20", "exp(-200x)"],
+)
+def test_weighted_legendre_builds_steep_weights_to_full_degree(density):
+    # a condition-number guard on a QR of the weighted Vandermonde matrix
+    # refused both; the recurrence is orthonormal on the pairing rule
+    basis = make_basis(DensityMeasure(0, 1, density))
+    assert np.abs(basis.gram(64) - np.eye(64)).max() <= 1e-12
+
+
+def test_weighted_legendre_needs_no_linear_algebra(monkeypatch):
+    class NoLinalg:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.linalg.{name} called")
+
+    monkeypatch.setattr(np, "linalg", NoLinalg())
+    basis = make_basis(DensityMeasure(0, 1, _one_plus_two_x))
+    block = basis.evaluate_block(np.linspace(0, 1, 9), 64)
+    assert np.all(np.isfinite(block)) and np.all(block[:, 0] > 0)
 
 
 @pytest.mark.parametrize(
@@ -331,6 +357,12 @@ def test_change_of_basis_preserves_gram():
 def test_mixed_basis_rejects_non_orthogonal():
     with pytest.raises(ValueError, match="orthogonal"):
         MixedBasis(make_basis(LebesgueMeasure(0, 1)), np.ones((3, 3)))
+
+
+def test_factor_map_rejects_a_non_square_matrix():
+    # orthonormal rows, so only the shape check refuses it
+    with pytest.raises(ValueError, match="square"):
+        CoordinateFactorMap(np.eye(3)[:2])
 
 
 def test_transformed_basis_is_orthonormal_under_new_measure():

@@ -4,9 +4,10 @@ Every invocation ends in exit 0 with an artifact free of nan, exit 2 (a usage
 error) or exit 3 with a JSON error record.  The cases start from one valid
 small-N argv per subcommand and replace one flag value at a time, taking the
 flags from the parser's own actions.  They run in process: the bounds keep
-every accepted size small.  Each bounded flag's edges, lo - 1, lo, hi and
-hi + 1 as its converter holds them, are checked at parse level: a run at hi
-could take minutes.
+every accepted size small.  Each bounded flag's edges, as its converter holds
+them, are checked at parse level (a run at hi could take minutes): lo - 1, lo,
+hi and hi + 1 of a closed bound, and lo, the floats just inside, and hi of an
+open one.
 """
 
 import json
@@ -70,10 +71,19 @@ def _cases(seed=19):
 
 
 def _edges(command):
-    """(action, value, admitted) at lo - 1, lo, hi and hi + 1 of each finite bound."""
+    """(action, value, admitted) at the edges of each finite bound.
+
+    A closed bound admits lo and hi and refuses lo - 1 and hi + 1; an open one
+    refuses lo and hi and admits the floats just inside them.
+    """
     for action in _actions(command):
         lo, hi = getattr(action.type, "lo", -math.inf), getattr(action.type, "hi", math.inf)
-        for value, admitted in ((lo - 1, False), (lo, True), (hi, True), (hi + 1, False)):
+        if getattr(action.type, "exclusive", False):
+            edges = ((lo, False), (math.nextafter(lo, hi), True), (math.nextafter(hi, lo), True),
+                     (hi, False))
+        else:
+            edges = ((lo - 1, False), (lo, True), (hi, True), (hi + 1, False))
+        for value, admitted in edges:
             if math.isfinite(value):
                 yield action, value, admitted
 
@@ -117,7 +127,7 @@ def test_each_bound_admits_its_edges_and_rejects_past_them(capsys):
     edges = [(command, *edge) for command in BASE for edge in _edges(command)]
     assert {action.option_strings[-1] for _, action, _, _ in edges} == {
         "--workers", "--seed", "--N", "--J", "--degree", "--depth", "--points", "--nodes",
-        "--factors", "--T-values", "--times", "--weights"}
+        "--factors", "--T-values", "--times", "--weights", "--hurst", "--lambda"}
     for command, action, value, admitted in edges:
         flag = action.option_strings[-1]
         argv = _argv(command, flag, value)
@@ -128,6 +138,17 @@ def test_each_bound_admits_its_edges_and_rejects_past_them(capsys):
             parser.parse_args(argv)
         assert exit_info.value.code == 2, argv
         assert f"argument {flag}: " in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("fbm-variance", "--hurst"), ("bernoulli-density", "--lambda"),
+    ("bernoulli-scaling", "--lambda"), ("ac2-proxy", "--lambda"),
+])
+def test_open_bounds_exit_2_naming_the_flag(tmp_path, capsys, command, flag):
+    # each of these exited 3 with a numeric-failure record before the bound
+    for value in ("0", "1", "1.5", "-1", "nan", "inf", "0.5,1"):
+        code, err = _run(_argv(command, flag, value), tmp_path / "out.csv", capsys)
+        assert code == 2 and f"argument {flag}: " in err, (command, flag, value)
 
 
 def test_every_int_flag_is_bounded():
