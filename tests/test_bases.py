@@ -111,8 +111,8 @@ def test_weighted_legendre_rejects_ill_conditioned_weight(density):
     ids=["x^20", "exp(-200x)"],
 )
 def test_weighted_legendre_builds_steep_weights_to_full_degree(density):
-    # a condition-number guard on a QR of the weighted Vandermonde matrix
-    # refused both; the recurrence is orthonormal on the pairing rule
+    # their weighted Legendre Vandermonde matrices are far too ill-conditioned
+    # to invert, but the recurrence needs no inverse
     basis = make_basis(DensityMeasure(0, 1, density))
     assert np.abs(basis.gram(64) - np.eye(64)).max() <= 1e-12
 

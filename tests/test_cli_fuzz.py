@@ -145,7 +145,7 @@ def test_each_bound_admits_its_edges_and_rejects_past_them(capsys):
     ("bernoulli-scaling", "--lambda"), ("ac2-proxy", "--lambda"),
 ])
 def test_open_bounds_exit_2_naming_the_flag(tmp_path, capsys, command, flag):
-    # each of these exited 3 with a numeric-failure record before the bound
+    # the input is at fault, not the numerics: a usage error, not exit 3
     for value in ("0", "1", "1.5", "-1", "nan", "inf", "0.5,1"):
         code, err = _run(_argv(command, flag, value), tmp_path / "out.csv", capsys)
         assert code == 2 and f"argument {flag}: " in err, (command, flag, value)
